@@ -82,7 +82,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
-  std::vector<Histogram> latencies(config.threads);
+  std::vector<HistogramData> latencies(config.threads);
   std::vector<std::thread> workers;
   workers.reserve(config.threads);
   for (uint32_t t = 0; t < config.threads; ++t) {
@@ -93,7 +93,7 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
       std::vector<char> write_value(
           config.tpcc ? 8 : config.ycsb.value_size, static_cast<char>(t));
       txdb::Transaction txn;
-      Histogram& lat = latencies[t];
+      HistogramData& lat = latencies[t];
       uint32_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (config.tpcc) {
@@ -166,10 +166,10 @@ TxdbRunResult RunTxdb(const TxdbRunConfig& config) {
   result.breakdown.committed_txns -= counters_at_start.committed_txns;
   result.breakdown.aborted_txns -= counters_at_start.aborted_txns;
   result.aborted = result.breakdown.aborted_txns;
-  Histogram all;
-  for (const Histogram& h : latencies) all.Merge(h);
-  result.mean_latency_us = all.MeanNs() / 1000.0;
-  result.p99_latency_us = static_cast<double>(all.QuantileNs(0.99)) / 1000.0;
+  HistogramData all;
+  for (const HistogramData& h : latencies) all.Merge(h);
+  result.mean_latency_us = all.Mean() / 1000.0;
+  result.p99_latency_us = static_cast<double>(all.Quantile(0.99)) / 1000.0;
   return result;
 }
 
@@ -200,8 +200,8 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
   std::vector<uint64_t> ops_done(config.threads * 8, 0);  // padded slots
-  std::vector<Histogram> lat_rest(config.threads);
-  std::vector<Histogram> lat_commit(config.threads);
+  std::vector<HistogramData> lat_rest(config.threads);
+  std::vector<HistogramData> lat_commit(config.threads);
   workloads::YcsbConfig ycsb;
   ycsb.num_keys = config.num_keys;
   ycsb.distribution = config.zipf ? workloads::KeyDistribution::kZipfian
@@ -315,14 +315,14 @@ FasterRunResult RunFaster(const FasterRunConfig& config) {
 
   result.total_ops = ops_at_end - ops_at_start;
   result.mops = static_cast<double>(result.total_ops) / elapsed / 1e6;
-  Histogram rest, commit;
-  for (const Histogram& h : lat_rest) rest.Merge(h);
-  for (const Histogram& h : lat_commit) commit.Merge(h);
-  result.rest_mean_us = rest.MeanNs() / 1000.0;
-  result.rest_p99_us = static_cast<double>(rest.QuantileNs(0.99)) / 1000.0;
-  result.commit_mean_us = commit.MeanNs() / 1000.0;
+  HistogramData rest, commit;
+  for (const HistogramData& h : lat_rest) rest.Merge(h);
+  for (const HistogramData& h : lat_commit) commit.Merge(h);
+  result.rest_mean_us = rest.Mean() / 1000.0;
+  result.rest_p99_us = static_cast<double>(rest.Quantile(0.99)) / 1000.0;
+  result.commit_mean_us = commit.Mean() / 1000.0;
   result.commit_p99_us =
-      static_cast<double>(commit.QuantileNs(0.99)) / 1000.0;
+      static_cast<double>(commit.Quantile(0.99)) / 1000.0;
   return result;
 }
 

@@ -7,7 +7,7 @@
 
 #include "faster/faster.h"
 #include "txdb/db.h"
-#include "util/histogram.h"
+#include "util/sharded_histogram.h"
 #include "util/instrumentation.h"
 #include "workloads/ycsb.h"
 

@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "obs/metrics.h"
-#include "util/instrumentation.h"
 
 namespace cpr::bench {
 namespace {
@@ -31,9 +29,7 @@ struct Cell {
 // The registry's phase counters are process-cumulative; sampling them around
 // each run turns them into per-run durations.
 uint64_t PhaseCounterNs(int phase) {
-  return obs::MetricsRegistry::Default()
-      .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
+  return faster::CheckpointPhaseNs(faster::kCheckpointPhaseNames[phase])
       ->Value();
 }
 
@@ -62,7 +58,7 @@ void WriteStatsJson(const char* path, uint32_t threads, double seconds,
         c.r.rest_p99_us, c.r.commit_mean_us, c.r.commit_p99_us);
     for (int p = 0; p < 4; ++p) {
       std::fprintf(f, "%s\"%s\": %llu", p == 0 ? "" : ", ",
-                   ServerCounters::kCheckpointPhaseNames[p],
+                   faster::kCheckpointPhaseNames[p],
                    static_cast<unsigned long long>(c.phase_ns[p]));
     }
     std::fprintf(f, "}\n    }");

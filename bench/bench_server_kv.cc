@@ -61,6 +61,7 @@ struct NetRunResult {
   std::vector<uint64_t> shard_ops;
   uint64_t rounds = 0;  // coordinated rounds completed (sharded only)
   ServerCounters::Snapshot counters;
+  uint64_t phase_ns[4] = {0, 0, 0, 0};  // per-run checkpoint phase time
   // Per-run critical-path breakdown (registry histogram deltas).
   obs::HistogramData stage_hist[obs::kNumReqStages];
   obs::HistogramData e2e_hist;
@@ -69,9 +70,7 @@ struct NetRunResult {
 // The registry's phase counters are process-cumulative (all stores, all
 // runs); sampling them around each run turns them into per-run durations.
 uint64_t PhaseCounterNs(int phase) {
-  return obs::MetricsRegistry::Default()
-      .GetCounter(std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                  ServerCounters::kCheckpointPhaseNames[phase] + "\"}")
+  return faster::CheckpointPhaseNs(faster::kCheckpointPhaseNames[phase])
       ->Value();
 }
 
@@ -253,7 +252,9 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   for (uint64_t p : peaks) r.max_inflight = std::max(r.max_inflight, p);
   r.ops_per_sec = static_cast<double>(r.total_ops) / seconds;
   r.counters = server.counters();
-  for (int i = 0; i < 4; ++i) r.counters.checkpoint_phase_ns[i] -= phase_base[i];
+  for (int i = 0; i < 4; ++i) {
+    r.phase_ns[i] = PhaseCounterNs(i) - phase_base[i];
+  }
   if (shards > 1) {
     for (uint32_t i = 0; i < backend->num_shards(); ++i) {
       r.shard_ops.push_back(backend->ShardOpCount(i));
@@ -295,8 +296,8 @@ void PrintResult(const char* label, const NetRunResult& r, double seconds) {
     std::printf(
         "    durable lag: p50=%.2fms p99=%.2fms max=%.2fms  "
         "(peak pipeline depth %llu)\n",
-        static_cast<double>(c.durable_lag.Quantile(0.5)) / 1e6,
-        static_cast<double>(c.durable_lag.Quantile(0.99)) / 1e6,
+        static_cast<double>(c.DurableLagQuantile(0.5)) / 1e6,
+        static_cast<double>(c.DurableLagQuantile(0.99)) / 1e6,
         static_cast<double>(c.durable_lag_max_ns) / 1e6,
         static_cast<unsigned long long>(r.max_inflight));
   }
@@ -313,8 +314,8 @@ void PrintResult(const char* label, const NetRunResult& r, double seconds) {
   if (c.checkpoints > 0) {
     std::printf("    ckpt phases:");
     for (int i = 0; i < 4; ++i) {
-      std::printf(" %s=%.1fms", ServerCounters::kCheckpointPhaseNames[i],
-                  static_cast<double>(c.checkpoint_phase_ns[i]) / 1e6);
+      std::printf(" %s=%.1fms", faster::kCheckpointPhaseNames[i],
+                  static_cast<double>(r.phase_ns[i]) / 1e6);
     }
     std::printf("\n");
   }
@@ -377,13 +378,13 @@ void WriteStatsJson(const char* path, uint32_t shards, uint32_t workers,
         static_cast<unsigned long long>(c.not_durable_engine),
         static_cast<unsigned long long>(c.not_durable_degraded),
         static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
+        static_cast<unsigned long long>(c.DurableLagQuantile(0.5)),
+        static_cast<unsigned long long>(c.DurableLagQuantile(0.99)),
         static_cast<unsigned long long>(c.durable_lag_max_ns));
     for (int p = 0; p < 4; ++p) {
       std::fprintf(f, "%s\"%s\": %llu", p == 0 ? "" : ", ",
-                   ServerCounters::kCheckpointPhaseNames[p],
-                   static_cast<unsigned long long>(c.checkpoint_phase_ns[p]));
+                   faster::kCheckpointPhaseNames[p],
+                   static_cast<unsigned long long>(r.phase_ns[p]));
     }
     std::fprintf(f, "},\n      \"req_stage_ns\": {");
     for (uint32_t s = 0; s < obs::kNumReqStages; ++s) {

@@ -385,8 +385,8 @@ int RunTpcc(const RunConfig& cfg) {
   const auto& sc = stats.counters;
   if (sc.durable_lag_max_ns > 0) {
     std::printf("  durable lag: p50=%.2fms p99=%.2fms max=%.2fms\n",
-                static_cast<double>(sc.durable_lag.Quantile(0.5)) / 1e6,
-                static_cast<double>(sc.durable_lag.Quantile(0.99)) / 1e6,
+                static_cast<double>(sc.DurableLagQuantile(0.5)) / 1e6,
+                static_cast<double>(sc.DurableLagQuantile(0.99)) / 1e6,
                 static_cast<double>(sc.durable_lag_max_ns) / 1e6);
   }
 
@@ -427,8 +427,8 @@ int RunTpcc(const RunConfig& cfg) {
         static_cast<unsigned long long>(stats.chunked_txns),
         static_cast<unsigned long long>(sc.checkpoints),
         static_cast<unsigned long long>(sc.checkpoint_failures),
-        static_cast<unsigned long long>(sc.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(sc.durable_lag.Quantile(0.99)),
+        static_cast<unsigned long long>(sc.DurableLagQuantile(0.5)),
+        static_cast<unsigned long long>(sc.DurableLagQuantile(0.99)),
         static_cast<unsigned long long>(sc.durable_lag_max_ns));
     std::fclose(f);
     std::printf("  stats json -> %s\n", cfg.stats_json.c_str());

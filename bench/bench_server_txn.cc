@@ -346,7 +346,7 @@ AdaptiveResult RunAdaptiveSwitch(uint32_t workers, uint32_t clients,
       if (starts.empty() || starts.back().provider != name) {
         starts.push_back(
             {name, NowNanos(), total_txns.load(std::memory_order_relaxed),
-             server.counters().durable_lag.Quantile(0.99)});
+             server.counters().DurableLagQuantile(0.99)});
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -366,7 +366,7 @@ AdaptiveResult RunAdaptiveSwitch(uint32_t workers, uint32_t clients,
 
   const uint64_t end_ns = NowNanos();
   const uint64_t end_txns = total_txns.load(std::memory_order_relaxed);
-  const uint64_t end_lag_p99 = server.counters().durable_lag.Quantile(0.99);
+  const uint64_t end_lag_p99 = server.counters().DurableLagQuantile(0.99);
   for (size_t i = 0; i < starts.size(); ++i) {
     AdaptiveSegment seg;
     seg.provider = starts[i].provider;
@@ -390,7 +390,7 @@ AdaptiveResult RunAdaptiveSwitch(uint32_t workers, uint32_t clients,
   for (uint64_t n : failures) out.failed_ops += n;
   const auto c = server.counters();
   out.durable_lag_p99_ms =
-      static_cast<double>(c.durable_lag.Quantile(0.99)) / 1e6;
+      static_cast<double>(c.DurableLagQuantile(0.99)) / 1e6;
   server.Stop();
   return out;
 }
@@ -436,8 +436,8 @@ void PrintResult(const char* label, const TxnRunResult& r, uint32_t txn_ops) {
     std::printf(
         "    durable lag: p50=%.2fms p99=%.2fms max=%.2fms  "
         "(peak pipeline depth %llu)\n",
-        static_cast<double>(c.durable_lag.Quantile(0.5)) / 1e6,
-        static_cast<double>(c.durable_lag.Quantile(0.99)) / 1e6,
+        static_cast<double>(c.DurableLagQuantile(0.5)) / 1e6,
+        static_cast<double>(c.DurableLagQuantile(0.99)) / 1e6,
         static_cast<double>(c.durable_lag_max_ns) / 1e6,
         static_cast<unsigned long long>(r.max_inflight));
   }
@@ -492,8 +492,8 @@ void WriteStatsJson(const char* path, uint32_t workers, uint32_t clients,
         static_cast<unsigned long long>(c.checkpoints),
         static_cast<unsigned long long>(c.checkpoint_failures),
         static_cast<unsigned long long>(c.not_durable_acks),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.5)),
-        static_cast<unsigned long long>(c.durable_lag.Quantile(0.99)),
+        static_cast<unsigned long long>(c.DurableLagQuantile(0.5)),
+        static_cast<unsigned long long>(c.DurableLagQuantile(0.99)),
         static_cast<unsigned long long>(c.durable_lag_max_ns));
     for (uint32_t s = 0; s < obs::kNumReqStages; ++s) {
       const obs::HistogramData& h = r.stage_hist[s];

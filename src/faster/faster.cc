@@ -85,15 +85,11 @@ bool ConsumePod(const std::vector<char>& buf, size_t* off, T* out) {
 
 }  // namespace
 
-namespace {
-
-obs::Counter* PhaseNs(const char* phase) {
+obs::Counter* CheckpointPhaseNs(const char* phase) {
   return obs::MetricsRegistry::Default().GetCounter(
       std::string("cpr_faster_checkpoint_phase_ns_total{phase=\"") + phase +
       "\"}");
 }
-
-}  // namespace
 
 FasterKv::FasterKv(Options options)
     : options_(std::move(options)),
@@ -101,10 +97,10 @@ FasterKv::FasterKv(Options options)
       io_(options_.io_threads),
       record_size_(Record::SizeWithValue(options_.value_size)),
       state_(SystemState::Pack(Phase::kRest, 1)),
-      phase_prepare_ns_(PhaseNs("prepare")),
-      phase_in_progress_ns_(PhaseNs("in_progress")),
-      phase_wait_pending_ns_(PhaseNs("wait_pending")),
-      phase_wait_flush_ns_(PhaseNs("wait_flush")),
+      phase_prepare_ns_(CheckpointPhaseNs(kCheckpointPhaseNames[0])),
+      phase_in_progress_ns_(CheckpointPhaseNs(kCheckpointPhaseNames[1])),
+      phase_wait_pending_ns_(CheckpointPhaseNs(kCheckpointPhaseNames[2])),
+      phase_wait_flush_ns_(CheckpointPhaseNs(kCheckpointPhaseNames[3])),
       ckpts_started_total_(obs::MetricsRegistry::Default().GetCounter(
           "cpr_faster_checkpoints_started_total")),
       ckpt_failures_total_(obs::MetricsRegistry::Default().GetCounter(

@@ -27,6 +27,13 @@ namespace cpr::faster {
 
 class FasterKv;
 
+// The CPR commit phases FasterKv times, in commit order. A phase's wall
+// time, cumulative over every store in the process, is the registry counter
+// CheckpointPhaseNs(phase): cpr_faster_checkpoint_phase_ns_total{phase=...}.
+inline constexpr const char* kCheckpointPhaseNames[4] = {
+    "prepare", "in_progress", "wait_pending", "wait_flush"};
+obs::Counter* CheckpointPhaseNs(const char* phase);
+
 // Result of a user operation. kPending means the operation will complete
 // asynchronously (disk read, fuzzy region, or CPR handoff): drive it with
 // CompletePending().

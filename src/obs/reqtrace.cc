@@ -1,6 +1,5 @@
 #include "obs/reqtrace.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -9,27 +8,6 @@
 namespace cpr::obs {
 
 namespace {
-
-uint32_t RoundUpPow2(uint32_t v) {
-  if (v < 2) return 2;
-  uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-class SlotLock {
- public:
-  explicit SlotLock(std::atomic_flag& f) : f_(f) {
-    while (f_.test_and_set(std::memory_order_acquire)) {
-      // Contention only when the ring wraps onto an in-flight writer or a
-      // snapshot touches this exact slot: spin briefly.
-    }
-  }
-  ~SlotLock() { f_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag& f_;
-};
 
 uint32_t DefaultSampleEvery() {
   const char* env = std::getenv("CPR_REQTRACE_SAMPLE");
@@ -56,9 +34,7 @@ void AppendHistJson(std::string* out, const char* key,
 
 ReqTrace::ReqTrace(uint32_t capacity, MetricsRegistry* registry,
                    uint32_t sample_every)
-    : capacity_(RoundUpPow2(capacity)),
-      slots_(new Slot[capacity_]),
-      sample_every_(sample_every) {
+    : ring_(capacity), sample_every_(sample_every) {
   for (uint32_t i = 0; i < kNumReqStages; ++i) {
     stage_hist_[i] = registry->GetHistogram(
         std::string("cpr_req_stage_ns{stage=\"") + kReqStageNames[i] + "\"}");
@@ -84,38 +60,12 @@ void ReqTrace::Record(const ReqSpan& span) {
   const uint32_t every = sample_every_.load(std::memory_order_relaxed);
   if (every == 0 || n % every != 0) return;
 
-  const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  SlotLock lock(slot.lock);
-  slot.ticket = ticket + 1;
-  slot.span = span;
-}
-
-std::vector<ReqSpan> ReqTrace::Snapshot() const {
-  std::vector<std::pair<uint64_t, ReqSpan>> ticketed;
-  ticketed.reserve(capacity_);
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[i];
-    SlotLock lock(slot.lock);
-    if (slot.ticket != 0) ticketed.emplace_back(slot.ticket, slot.span);
-  }
-  std::sort(ticketed.begin(), ticketed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<ReqSpan> out;
-  out.reserve(ticketed.size());
-  for (auto& [ticket, span] : ticketed) out.push_back(span);
-  return out;
+  ring_.Push(span);
 }
 
 void ReqTrace::Clear() {
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[i];
-    SlotLock lock(slot.lock);
-    slot.ticket = 0;
-    slot.span = ReqSpan{};
-  }
+  ring_.Clear();
   recorded_.store(0, std::memory_order_relaxed);
-  head_.store(0, std::memory_order_relaxed);
 }
 
 std::string ReqTrace::RenderBreakdownJson() const {

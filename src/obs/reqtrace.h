@@ -18,9 +18,9 @@
 //     recv->write-done interval exactly: sum(stage_ns) == e2e per op, so the
 //     aggregated per-stage sums reconcile against the e2e sum.
 //   * Sampled spans — 1-in-N ops (default 64; CPR_REQTRACE_SAMPLE overrides,
-//     0 disables) additionally deposit their full ReqSpan into a lock-free
-//     ring (same ticket+slot-spinlock scheme as obs::Tracer), retained for
-//     the watchdog's on-stall dump and offline inspection.
+//     0 disables) additionally deposit their full ReqSpan into an
+//     obs::SpanRing, retained for the watchdog's on-stall dump and offline
+//     inspection.
 //
 // Overhead budget: the always-on path is 6 histogram records (18 relaxed
 // RMWs on per-thread slots) + a handful of NowNanos() stamps per op —
@@ -29,12 +29,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/cacheline.h"
+#include "obs/span_ring.h"
 
 namespace cpr::obs {
 
@@ -96,7 +95,7 @@ class ReqTrace {
   }
 
   // Retained sampled spans, oldest first.
-  std::vector<ReqSpan> Snapshot() const;
+  std::vector<ReqSpan> Snapshot() const { return ring_.Snapshot(); }
 
   // Empties the ring and zeroes the op/sample counters (test isolation);
   // the registry histograms are cumulative and unaffected.
@@ -105,8 +104,8 @@ class ReqTrace {
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
-  uint64_t sampled() const { return head_.load(std::memory_order_relaxed); }
-  uint32_t capacity() const { return capacity_; }
+  uint64_t sampled() const { return ring_.pushed(); }
+  uint32_t capacity() const { return ring_.capacity(); }
 
   // JSON object with the cumulative per-stage breakdown sampled from the
   // registry histograms: {"sample_every":N,"recorded_ops":...,"stages":
@@ -119,15 +118,7 @@ class ReqTrace {
   std::string RenderSpansText(size_t max_spans = 64) const;
 
  private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic_flag lock = ATOMIC_FLAG_INIT;
-    uint64_t ticket = 0;  // 0 = empty, else 1 + ticket; guarded by lock
-    ReqSpan span;         // guarded by lock
-  };
-
-  const uint32_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};      // ring tickets (sampled spans)
+  SpanRing<ReqSpan> ring_;             // sampled spans
   std::atomic<uint64_t> recorded_{0};  // all Record() calls
   std::atomic<uint32_t> sample_every_;
 

@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -10,13 +9,6 @@
 namespace cpr::obs {
 
 namespace {
-
-uint32_t RoundUpPow2(uint32_t v) {
-  if (v < 2) return 2;
-  uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 uint32_t ThisThreadTid() {
   static thread_local const uint32_t tid = [] {
@@ -33,26 +25,7 @@ void CopyTruncated(char* dst, size_t cap, const char* src) {
   dst[i] = '\0';
 }
 
-class SlotLock {
- public:
-  explicit SlotLock(std::atomic_flag& f) : f_(f) {
-    while (f_.test_and_set(std::memory_order_acquire)) {
-      // Contention only when the ring wraps onto an in-flight writer or a
-      // snapshot touches this exact slot: spin briefly.
-    }
-  }
-  ~SlotLock() { f_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag& f_;
-};
-
 }  // namespace
-
-Tracer::Tracer(uint32_t capacity)
-    : capacity_(RoundUpPow2(capacity)), slots_(new Slot[capacity_]) {}
-
-Tracer::~Tracer() = default;
 
 Tracer& Tracer::Default() {
   // Holder (not a leak): the destructor runs at normal process exit and, if
@@ -76,43 +49,14 @@ Tracer& Tracer::Default() {
 
 void Tracer::Record(const char* cat, const char* name, uint64_t start_ns,
                     uint64_t end_ns, uint64_t id) {
-  const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  SlotLock lock(slot.lock);
-  slot.ticket = ticket + 1;
-  TraceSpan& s = slot.span;
+  TraceSpan s;
   s.start_ns = start_ns;
   s.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
   s.id = id;
   s.tid = ThisThreadTid();
   CopyTruncated(s.cat, sizeof(s.cat), cat);
   CopyTruncated(s.name, sizeof(s.name), name);
-}
-
-std::vector<TraceSpan> Tracer::Snapshot() const {
-  std::vector<std::pair<uint64_t, TraceSpan>> ticketed;
-  ticketed.reserve(capacity_);
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[i];
-    SlotLock lock(slot.lock);
-    if (slot.ticket != 0) ticketed.emplace_back(slot.ticket, slot.span);
-  }
-  // Ticket order == record order (oldest first).
-  std::sort(ticketed.begin(), ticketed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<TraceSpan> out;
-  out.reserve(ticketed.size());
-  for (auto& [ticket, span] : ticketed) out.push_back(span);
-  return out;
-}
-
-void Tracer::Clear() {
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[i];
-    SlotLock lock(slot.lock);
-    slot.ticket = 0;
-    slot.span = TraceSpan{};
-  }
+  ring_.Push(s);
 }
 
 namespace {

@@ -243,22 +243,6 @@ KvServer::KvServer(faster::FasterKv* kv, KvServerOptions options)
 
 KvServer::~KvServer() { Stop(); }
 
-ServerCounters::Snapshot KvServer::counters() const {
-  ServerCounters::Snapshot s = counters_.Sample();
-  // Same shared handles FasterKv adds into, so this aggregates across
-  // shards; GetCounter is a cold-path name lookup.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  for (int i = 0; i < 4; ++i) {
-    s.checkpoint_phase_ns[i] =
-        registry
-            .GetCounter(std::string(
-                            "cpr_faster_checkpoint_phase_ns_total{phase=\"") +
-                        ServerCounters::kCheckpointPhaseNames[i] + "\"}")
-            ->Value();
-  }
-  return s;
-}
-
 Status KvServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server already running");
@@ -310,23 +294,24 @@ Status KvServer::Start() {
     w->poller.Add(w->wake_r);
     workers_.push_back(std::move(w));
   }
-  for (auto& w : workers_) {
-    Worker* raw = w.get();
-    w->thread = std::thread([this, raw] { WorkerLoop(*raw); });
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  // Per-run state the workers read: set before any of them starts.
   last_periodic_ckpt_ns_ = NowNanos();
   adaptive_policy_ = durability::AdaptivePolicy(options_.adaptive);
   last_adaptive_ns_ = 0;
-
-  // Instant restart: the listener is already up, so HELLO and STATS answer
-  // immediately; backend recovery (if requested) proceeds on its own thread
-  // while data ops park or serve per shard readiness.
   serve_start_ns_ = NowNanos();
   first_op_served_.store(false, std::memory_order_relaxed);
   recovery_installed_.store(!options_.recover_on_start,
                             std::memory_order_release);
   recovery_done_.store(!options_.recover_on_start, std::memory_order_release);
+  for (auto& w : workers_) {
+    Worker* raw = w.get();
+    w->thread = std::thread([this, raw] { WorkerLoop(*raw); });
+  }
+  acceptor_ = std::thread([this] { AcceptLoop(); });
+
+  // Instant restart: the listener is already up, so HELLO and STATS answer
+  // immediately; backend recovery (if requested) proceeds on its own thread
+  // while data ops park or serve per shard readiness.
   if (options_.recover_on_start) {
     recovery_thread_ = std::thread([this] { RecoveryMain(); });
   }
@@ -335,55 +320,7 @@ Status KvServer::Start() {
   // recording into the relaxed atomics; STATS scrapes pull from here.
   obs_collector_id_ = obs::MetricsRegistry::Default().AddCollector(
       [this](const obs::MetricsRegistry::EmitFn& emit) {
-        const ServerCounters::Snapshot s = counters_.Sample();
-        emit("cpr_server_connections_accepted_total",
-             static_cast<double>(s.connections_accepted));
-        emit("cpr_server_connections_active",
-             static_cast<double>(s.connections_active));
-        emit("cpr_server_requests_total", static_cast<double>(s.requests));
-        emit("cpr_server_responses_total", static_cast<double>(s.responses));
-        emit("cpr_server_bytes_in_total", static_cast<double>(s.bytes_in));
-        emit("cpr_server_bytes_out_total", static_cast<double>(s.bytes_out));
-        emit("cpr_server_ops_pending_total",
-             static_cast<double>(s.ops_pending));
-        emit("cpr_server_durable_held_total",
-             static_cast<double>(s.durable_held));
-        emit("cpr_server_checkpoints_total",
-             static_cast<double>(s.checkpoints));
-        emit("cpr_server_checkpoint_stalls_total",
-             static_cast<double>(s.checkpoint_stalls));
-        emit("cpr_server_checkpoint_failures_total",
-             static_cast<double>(s.checkpoint_failures));
-        emit("cpr_server_not_durable_acks_total",
-             static_cast<double>(s.not_durable_acks));
-        emit("cpr_server_not_durable_acks_engine_total",
-             static_cast<double>(s.not_durable_engine));
-        emit("cpr_server_not_durable_acks_degraded_total",
-             static_cast<double>(s.not_durable_degraded));
-        emit("cpr_server_protocol_errors_total",
-             static_cast<double>(s.protocol_errors));
-        emit("cpr_server_ops_parked_total",
-             static_cast<double>(s.ops_parked));
-        emit("cpr_server_recovering_rejections_total",
-             static_cast<double>(s.recovering_rejections));
-        emit("cpr_server_parked_failed_at_shutdown_total",
-             static_cast<double>(s.parked_failed_at_shutdown));
-        emit("cpr_server_time_to_first_op_ns",
-             static_cast<double>(s.time_to_first_op_ns));
-        emit("cpr_server_recovery_duration_ns",
-             static_cast<double>(s.recovery_duration_ns));
-        emit("cpr_server_read_ops_total", static_cast<double>(s.read_ops));
-        emit("cpr_server_write_ops_total", static_cast<double>(s.write_ops));
-        emit("cpr_server_slow_reader_throttled_total",
-             static_cast<double>(s.slow_reader_throttled));
-        emit("cpr_server_slow_reader_closed_total",
-             static_cast<double>(s.slow_reader_closed));
-        emit("cpr_server_durable_lag_p50_ns",
-             static_cast<double>(s.durable_lag.Quantile(0.5)));
-        emit("cpr_server_durable_lag_p99_ns",
-             static_cast<double>(s.durable_lag.Quantile(0.99)));
-        emit("cpr_server_durable_lag_max_ns",
-             static_cast<double>(s.durable_lag_max_ns));
+        ServerCounters::Export(counters_.Sample(), emit);
       });
 
   // Per-request critical-path recorder (process-global; stage histograms
@@ -513,10 +450,12 @@ void KvServer::Stop() {
   if (watchdog_) watchdog_->Stop();
   obs::MetricsRegistry::Default().RemoveCollector(obs_collector_id_);
   stop_.store(true, std::memory_order_release);
+  // shutdown() wakes the blocked accept(); close only after the join, so
+  // the acceptor never reads listen_fd_ mid-write or a reused fd number.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   for (auto& w : workers_) {
     (void)!::write(w->wake_w, "x", 1);
   }
@@ -1096,8 +1035,12 @@ void KvServer::HandleDataOp(Connection* c, const net::Request& req,
         TryParkRequest(c, req, shard)) {
       return;
     }
-    RejectRecovering(c, req, in_batch);
-    return;
+    // Recovery may have finished between the two loads; recovery_done_
+    // publishes every shard's final state, so re-read before rejecting.
+    if (!kv_->ShardReady(shard)) {
+      RejectRecovering(c, req, in_batch);
+      return;
+    }
   }
   kv::Session& s = *c->session;
   if (!in_batch) {
@@ -1361,13 +1304,18 @@ void KvServer::RejectRecovering(Connection* c, const net::Request& req,
 void KvServer::RetryParked(Worker& w, Connection* c) {
   if (!c->parked) return;
   const bool hello = c->parked_req.op == net::Op::kHello;
-  const bool ready = hello ? recovery_installed_.load(std::memory_order_acquire)
-                           : kv_->ShardReady(c->parked_shard);
+  bool ready = hello ? recovery_installed_.load(std::memory_order_acquire)
+                     : kv_->ShardReady(c->parked_shard);
   if (!ready) {
     // HELLO always unparks eventually (StartRecovery returns even on
     // failure). A data op's shard that is unready after recovery concluded
-    // is terminally failed: stop waiting and answer RECOVERING.
+    // is terminally failed: stop waiting and answer RECOVERING. Re-read the
+    // shard once recovery_done_ is seen: it may have become ready between
+    // the two loads.
     if (hello || !recovery_done_.load(std::memory_order_acquire)) return;
+    ready = kv_->ShardReady(c->parked_shard);
+  }
+  if (!ready) {
     const net::Request req = std::move(c->parked_req);
     c->parked = false;
     c->parked_req = net::Request();

@@ -126,9 +126,7 @@ class KvServer {
 
   uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
-  // Plain-struct snapshot, with checkpoint_phase_ns filled in from the
-  // metrics registry (cumulative engine phase time across all stores).
-  ServerCounters::Snapshot counters() const;
+  ServerCounters::Snapshot counters() const { return counters_.Sample(); }
 
  private:
   struct PendingResponse;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "txdb/checkpoint_io.h"
+#include "util/clock.h"
 
 namespace cpr::txdb {
 

@@ -2,6 +2,7 @@
 #define CPR_TXDB_NULL_ENGINE_H_
 
 #include "txdb/db.h"
+#include "util/clock.h"
 
 namespace cpr::txdb {
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/clock.h"
 #include "util/crc32c.h"
 
 namespace cpr::txdb {

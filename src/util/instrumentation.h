@@ -1,11 +1,11 @@
 #ifndef CPR_UTIL_INSTRUMENTATION_H_
 #define CPR_UTIL_INSTRUMENTATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
 #include "util/cacheline.h"
-#include "util/clock.h"
 #include "util/sharded_histogram.h"
 
 namespace cpr {
@@ -41,60 +41,67 @@ struct alignas(kCacheLineBytes) BreakdownCounters {
   }
 };
 
-// Counters for the network serving layer (src/server). Updated from worker
-// and acceptor threads; sampled by monitoring/bench code, so every field is
-// a relaxed atomic. `Snapshot()` gives a plain copy for reporting.
+// The network serving layer's counters (src/server), each defined once:
+// X(field, exported metric name). The list generates the relaxed atomics,
+// the plain Snapshot fields, Sample() and the registry export.
+#define CPR_SERVER_COUNTERS(X)                                                \
+  X(connections_accepted, "cpr_server_connections_accepted_total")            \
+  X(connections_active, "cpr_server_connections_active")                      \
+  X(requests, "cpr_server_requests_total")                                    \
+  X(responses, "cpr_server_responses_total")                                  \
+  X(bytes_in, "cpr_server_bytes_in_total")                                    \
+  X(bytes_out, "cpr_server_bytes_out_total")                                  \
+  /* ops that went asynchronous */                                            \
+  X(ops_pending, "cpr_server_ops_pending_total")                              \
+  /* responses gated on durability */                                         \
+  X(durable_held, "cpr_server_durable_held_total")                            \
+  /* checkpoints started via wire; CHECKPOINT rejected while one is in */     \
+  /* flight; checkpoints that failed to persist (storage faults) */           \
+  X(checkpoints, "cpr_server_checkpoints_total")                              \
+  X(checkpoint_stalls, "cpr_server_checkpoint_stalls_total")                  \
+  X(checkpoint_failures, "cpr_server_checkpoint_failures_total")              \
+  /* durable-gated responses released as NOT_DURABLE, then split by cause */  \
+  /* so a spike is attributable: the single engine's checkpoint write */      \
+  /* failed, vs. a coordinated cross-shard round degraded because some */     \
+  /* shard failed its checkpoint */                                           \
+  X(not_durable_acks, "cpr_server_not_durable_acks_total")                    \
+  X(not_durable_engine, "cpr_server_not_durable_acks_engine_total")           \
+  X(not_durable_degraded, "cpr_server_not_durable_acks_degraded_total")       \
+  X(protocol_errors, "cpr_server_protocol_errors_total")                      \
+  /* Instant restart: ops parked in the bounded queue while their shard */    \
+  /* restored, ops rejected RECOVERING because the queue was full, and */     \
+  /* parked ops failed at shutdown because their shard never came up */       \
+  X(ops_parked, "cpr_server_ops_parked_total")                                \
+  X(recovering_rejections, "cpr_server_recovering_rejections_total")          \
+  X(parked_failed_at_shutdown, "cpr_server_parked_failed_at_shutdown_total")  \
+  /* Wall-clock from listener-up to the first data op answered, and to the */ \
+  /* end of background recovery: their ratio is the instant-restart win */    \
+  X(time_to_first_op_ns, "cpr_server_time_to_first_op_ns")                    \
+  X(recovery_duration_ns, "cpr_server_recovery_duration_ns")                  \
+  /* Workload mix (single-key data ops plus TXN read/write-set members) */    \
+  /* feeding the adaptive durability policy */                                \
+  X(read_ops, "cpr_server_read_ops_total")                                    \
+  X(write_ops, "cpr_server_write_ops_total")                                  \
+  /* Slow-reader flow control: connections whose outbuf backlog crossed */    \
+  /* the soft cap (reads paused until they drain), and connections closed */  \
+  /* for blowing through the hard cap */                                      \
+  X(slow_reader_throttled, "cpr_server_slow_reader_throttled_total")          \
+  X(slow_reader_closed, "cpr_server_slow_reader_closed_total")                \
+  /* Largest execute->durable lag recorded (see RecordDurableLag) */          \
+  X(durable_lag_max_ns, "cpr_server_durable_lag_max_ns")
+
+// Updated from worker and acceptor threads; sampled by monitoring/bench
+// code, so every field is a relaxed atomic. `Sample()` gives a plain copy.
 struct ServerCounters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> responses{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> ops_pending{0};       // ops that went asynchronous
-  std::atomic<uint64_t> durable_held{0};      // responses gated on durability
-  std::atomic<uint64_t> checkpoints{0};       // checkpoints started via wire
-  std::atomic<uint64_t> checkpoint_stalls{0}; // CHECKPOINT rejected: in flight
-  std::atomic<uint64_t> checkpoint_failures{0}; // checkpoints that failed to
-                                                // persist (storage faults)
-  std::atomic<uint64_t> not_durable_acks{0};  // durable-gated responses
-                                              // released as NOT_DURABLE
-  // not_durable_acks split by cause, so a NOT_DURABLE spike is attributable:
-  // the single engine's checkpoint write failed, vs. a coordinated
-  // cross-shard round degraded because some shard failed its checkpoint.
-  std::atomic<uint64_t> not_durable_engine{0};
-  std::atomic<uint64_t> not_durable_degraded{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  // Instant-restart serving surface: ops that arrived while their shard was
-  // still restoring and parked in the bounded pending queue, ops rejected
-  // RECOVERING because the queue was full, and parked ops failed at
-  // shutdown because their shard never became ready in time.
-  std::atomic<uint64_t> ops_parked{0};
-  std::atomic<uint64_t> recovering_rejections{0};
-  std::atomic<uint64_t> parked_failed_at_shutdown{0};
-  // Wall-clock from listener-up to the first data op answered, and to the
-  // end of background recovery. Their ratio is the instant-restart win:
-  // first op served long before the full store is restored.
-  std::atomic<uint64_t> time_to_first_op_ns{0};
-  std::atomic<uint64_t> recovery_duration_ns{0};
-  // Observed workload mix — single-key data ops plus TXN read/write-set
-  // members — feeding the adaptive durability policy (read-heavy favors
-  // WAL, write-heavy favors CPR).
-  std::atomic<uint64_t> read_ops{0};
-  std::atomic<uint64_t> write_ops{0};
-  // Slow-reader flow control: connections whose outbuf backlog crossed the
-  // soft cap (server stops reading from them until they drain) and
-  // connections closed for blowing through the hard cap.
-  std::atomic<uint64_t> slow_reader_throttled{0};
-  std::atomic<uint64_t> slow_reader_closed{0};
+#define CPR_SERVER_COUNTER_ATOMIC(field, metric) std::atomic<uint64_t> field{0};
+  CPR_SERVER_COUNTERS(CPR_SERVER_COUNTER_ATOMIC)
+#undef CPR_SERVER_COUNTER_ATOMIC
 
-  // Execute→durable lag of durable-gated responses: time from enqueueing the
-  // executed operation until its covering checkpoint released the ack.
+  // Execute->durable lag of durable-gated responses: time from enqueueing
+  // the executed operation until its covering checkpoint released the ack.
   // Multiple workers record, so this rides the lock-free sharded-slot
-  // histogram (same log2 path the metrics registry uses): a record is three
-  // relaxed RMWs on the caller's slot, no mutex on the ack path.
-  std::atomic<uint64_t> durable_lag_max_ns{0};
-
+  // histogram: a record is three relaxed RMWs on the caller's slot, no mutex
+  // on the ack path.
   void RecordDurableLag(uint64_t ns) {
     durable_lag_.Record(ns);
     uint64_t seen = durable_lag_max_ns.load(std::memory_order_relaxed);
@@ -104,59 +111,44 @@ struct ServerCounters {
   }
 
   struct Snapshot {
-    uint64_t connections_accepted, connections_active, requests, responses,
-        bytes_in, bytes_out, ops_pending, durable_held, checkpoints,
-        checkpoint_stalls, checkpoint_failures, not_durable_acks,
-        not_durable_engine, not_durable_degraded, protocol_errors, ops_parked,
-        recovering_rejections, parked_failed_at_shutdown, time_to_first_op_ns,
-        recovery_duration_ns, read_ops, write_ops, slow_reader_throttled,
-        slow_reader_closed;
+#define CPR_SERVER_COUNTER_FIELD(field, metric) uint64_t field = 0;
+    CPR_SERVER_COUNTERS(CPR_SERVER_COUNTER_FIELD)
+#undef CPR_SERVER_COUNTER_FIELD
     HistogramData durable_lag;
-    uint64_t durable_lag_max_ns;
-    // Cumulative engine checkpoint phase time, indexed by
-    // kCheckpointPhaseNames (filled in by KvServer::counters() from the
-    // metrics registry; zero when sampled straight off the struct).
-    uint64_t checkpoint_phase_ns[4] = {0, 0, 0, 0};
+
+    // Durable-lag quantile, clamped to the recorded max: a log2 bucket's
+    // upper bound can overshoot every sample in it by up to 2x.
+    uint64_t DurableLagQuantile(double q) const {
+      return std::min(durable_lag.Quantile(q), durable_lag_max_ns);
+    }
   };
 
-  static constexpr const char* kCheckpointPhaseNames[4] = {
-      "prepare", "in_progress", "wait_pending", "wait_flush"};
-
   Snapshot Sample() const {
-    auto ld = [](const std::atomic<uint64_t>& a) {
-      return a.load(std::memory_order_relaxed);
-    };
-    Snapshot s{ld(connections_accepted), ld(connections_active),
-               ld(requests),             ld(responses),
-               ld(bytes_in),             ld(bytes_out),
-               ld(ops_pending),          ld(durable_held),
-               ld(checkpoints),          ld(checkpoint_stalls),
-               ld(checkpoint_failures),  ld(not_durable_acks),
-               ld(not_durable_engine),   ld(not_durable_degraded),
-               ld(protocol_errors),      ld(ops_parked),
-               ld(recovering_rejections), ld(parked_failed_at_shutdown),
-               ld(time_to_first_op_ns),  ld(recovery_duration_ns),
-               ld(read_ops),             ld(write_ops),
-               ld(slow_reader_throttled), ld(slow_reader_closed),
-               durable_lag_.Sample(),    ld(durable_lag_max_ns)};
+    Snapshot s;
+#define CPR_SERVER_COUNTER_LOAD(field, metric) \
+  s.field = field.load(std::memory_order_relaxed);
+    CPR_SERVER_COUNTERS(CPR_SERVER_COUNTER_LOAD)
+#undef CPR_SERVER_COUNTER_LOAD
+    s.durable_lag = durable_lag_.Sample();
     return s;
+  }
+
+  // Calls emit(metric_name, value) for every counter and the durable-lag
+  // p50/p99. Feeds the server's metrics-registry collector.
+  template <typename Emit>
+  static void Export(const Snapshot& s, Emit&& emit) {
+#define CPR_SERVER_COUNTER_EMIT(field, metric) \
+  emit(metric, static_cast<double>(s.field));
+    CPR_SERVER_COUNTERS(CPR_SERVER_COUNTER_EMIT)
+#undef CPR_SERVER_COUNTER_EMIT
+    emit("cpr_server_durable_lag_p50_ns",
+         static_cast<double>(s.DurableLagQuantile(0.5)));
+    emit("cpr_server_durable_lag_p99_ns",
+         static_cast<double>(s.DurableLagQuantile(0.99)));
   }
 
  private:
   HistogramMetric durable_lag_;
-};
-
-// Scoped timer adding elapsed nanoseconds to a counter on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(uint64_t& sink) : sink_(sink), start_(NowNanos()) {}
-  ~ScopedTimer() { sink_ += NowNanos() - start_; }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  uint64_t& sink_;
-  uint64_t start_;
 };
 
 }  // namespace cpr

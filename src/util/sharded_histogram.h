@@ -1,8 +1,9 @@
 #ifndef CPR_UTIL_SHARDED_HISTOGRAM_H_
 #define CPR_UTIL_SHARDED_HISTOGRAM_H_
 
-// Lock-free log2 histogram shared by the metrics registry (src/obs) and
-// low-level instrumentation structs (util/instrumentation.h). Lives in util —
+// Log2 histogram in two forms: plain single-writer HistogramData (bench
+// loops, snapshots) and the lock-free HistogramMetric that the metrics
+// registry (src/obs) and util/instrumentation.h record into. Lives in util —
 // below obs in the link order — so ServerCounters can record durable lag
 // without a mutex and without util depending on the obs library.
 //
@@ -37,8 +38,8 @@ inline uint32_t ThisThreadSlot() {
   return slot;
 }
 
-// Plain-data log2-bucketed histogram snapshot (mergeable; mirrors
-// util/histogram.h bucketing so single-writer and sharded histograms agree).
+// Plain-data log2-bucketed histogram (mergeable): a single-writer recorder
+// and the snapshot a HistogramMetric samples into.
 struct HistogramData {
   std::array<uint64_t, 65> buckets{};
   uint64_t sum = 0;

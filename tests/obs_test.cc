@@ -93,10 +93,13 @@ TEST(MetricsTest, HistogramDataMergeAndQuantile) {
   HistogramData a, b;
   for (uint64_t v : {1u, 2u, 3u, 4u}) a.Add(v);
   for (uint64_t v : {100u, 200u, 400u, 100'000u}) b.Add(v);
+  EXPECT_DOUBLE_EQ(a.Mean(), 2.5);
   HistogramData m = a;
   m.Merge(b);
   EXPECT_EQ(m.count, 8u);
   EXPECT_EQ(m.sum, a.sum + b.sum);
+  EXPECT_DOUBLE_EQ(m.Mean(), (10.0 + 100'700.0) / 8);
+  EXPECT_LE(m.Quantile(0.5), m.Quantile(0.99));
   // q=1.0 lands in the max bucket (100000 < 2^17).
   EXPECT_EQ(m.Quantile(1.0), uint64_t{1} << 17);
   // q=0 lands in the min bucket (1 -> bucket 1, upper bound 2).

@@ -593,7 +593,14 @@ TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
   }
 
   ASSERT_TRUE(kv.WaitForRecovery().ok());
-  const auto counters = server.counters();
+  // The server's recovery thread stamps recovery_duration_ns after its own
+  // WaitForRecovery() returns, which can trail the one above.
+  auto counters = server.counters();
+  for (int spin = 0; spin < 10'000 && counters.recovery_duration_ns == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    counters = server.counters();
+  }
   EXPECT_GT(counters.time_to_first_op_ns, 0u);
   EXPECT_GT(counters.recovery_duration_ns, 0u);
 
@@ -785,12 +792,74 @@ TEST(ServerE2E, StatsScrapeCoversAllLayers) {
   // IO pool: the checkpoint flushed through it.
   EXPECT_GE(MetricValue(text, "cpr_io_jobs_total"), 1.0);
 
-  // Satellite: the counters() snapshot surfaces per-phase checkpoint time.
-  const auto counters = server.counters();
+  // The engine's per-phase checkpoint time reads back from the registry.
   uint64_t phase_total = 0;
-  for (int i = 0; i < 4; ++i) phase_total += counters.checkpoint_phase_ns[i];
+  for (const char* phase : faster::kCheckpointPhaseNames) {
+    phase_total += faster::CheckpointPhaseNs(phase)->Value();
+  }
   EXPECT_GT(phase_total, 0u);
 
+  c.Close();
+  server.Stop();
+}
+
+// Durable-lag quantiles come from log2 buckets whose upper bound can exceed
+// every recorded sample; the snapshot and the exported p50/p99 are clamped
+// to the recorded max.
+TEST(ServerE2E, DurableLagQuantilesNeverExceedMax) {
+  FasterKv kv(SmallOptions(FreshDir()));
+  KvServerOptions so = ServerOptions();
+  so.checkpoint_interval_ms = 20;
+  KvServer server(&kv, so);
+  ASSERT_TRUE(server.Start().ok());
+
+  CprClient::Options copts = ClientOptions(server.port());
+  copts.ack_mode = net::AckMode::kDurable;
+  CprClient c(copts);
+  ASSERT_TRUE(c.Connect().ok());
+  for (int i = 0; i < 50; ++i) c.EnqueueRmw(i % 4, 1);
+  ASSERT_TRUE(c.Flush().ok());
+  std::vector<CprClient::Result> results;
+  ASSERT_TRUE(c.Drain(&results, 50).ok());
+  ASSERT_EQ(results.size(), 50u);
+
+  std::string text;
+  ASSERT_TRUE(c.ServerStats(&text).ok());
+  const auto counters = server.counters();
+  ASSERT_GT(counters.durable_lag.count, 0u);
+  EXPECT_LE(counters.DurableLagQuantile(0.99), counters.durable_lag_max_ns);
+  const double max = MetricValue(text, "cpr_server_durable_lag_max_ns");
+  EXPECT_GT(max, 0.0) << text;
+  EXPECT_LE(MetricValue(text, "cpr_server_durable_lag_p50_ns"), max);
+  EXPECT_LE(MetricValue(text, "cpr_server_durable_lag_p99_ns"), max);
+
+  c.Close();
+  server.Stop();
+}
+
+// Stop() shuts the listener down and joins the acceptor before closing the
+// fd, so the acceptor never reads listen_fd_ mid-write or a reused fd number.
+// Repeated cycles (with and without a client) let TSan see any such race.
+TEST(ServerE2E, RepeatedStartStopIsClean) {
+  FasterKv kv(SmallOptions(FreshDir()));
+  for (int i = 0; i < 20; ++i) {
+    KvServer server(&kv, ServerOptions());
+    ASSERT_TRUE(server.Start().ok());
+    if (i % 2 == 0) {
+      CprClient c(ClientOptions(server.port()));
+      ASSERT_TRUE(c.Connect().ok());
+      ASSERT_TRUE(c.Rmw(1, 1).ok());
+      c.Close();
+    }
+    server.Stop();
+    EXPECT_FALSE(server.running());
+  }
+  KvServer server(&kv, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  CprClient c(ClientOptions(server.port()));
+  ASSERT_TRUE(c.Connect().ok());
+  bool found = false;
+  EXPECT_EQ(ReadValue(c, 1, &found), 10);  // one RMW per client cycle
   c.Close();
   server.Stop();
 }

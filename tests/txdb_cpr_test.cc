@@ -142,6 +142,11 @@ TEST(CprCommitTest, CallbackReportsPerThreadPoints) {
       });
   DriveUntilDurable(db, *ctx, t, v);
   db.WaitForCommit(v);
+  // The commit thread runs the callback after publishing the commit that
+  // WaitForCommit returns on, so it can trail the wait.
+  for (int spin = 0; spin < 10'000 && !called.load(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ASSERT_TRUE(called.load());
   EXPECT_EQ(got_version, v);
   ASSERT_EQ(got.size(), 1u);
@@ -165,11 +170,12 @@ TEST(CprConsistencyTest, RecoveredStateMatchesPerThreadPointsExactly) {
     std::atomic<bool> commit_done{false};
     std::vector<std::thread> workers;
     for (int w = 0; w < kThreads; ++w) {
-      workers.emplace_back([&, w] {
+      workers.emplace_back([&] {
         ThreadContext* ctx = db.RegisterThread();
+        // Row keyed by the registered id, which the commit point reports
+        // (registration order, not spawn order).
         Transaction txn;
-        txn.ops.push_back(
-            TxnOp{t, OpType::kAdd, static_cast<uint64_t>(w), nullptr, 1});
+        txn.ops.push_back(TxnOp{t, OpType::kAdd, ctx->thread_id, nullptr, 1});
         int n = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           db.Execute(*ctx, txn);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/hash.h"
-#include "util/histogram.h"
 #include "util/instrumentation.h"
 #include "util/latch.h"
 #include "util/random.h"
@@ -178,30 +177,6 @@ TEST(HashTest, Deterministic) {
   EXPECT_NE(Hash64(12345), Hash64(12346));
 }
 
-TEST(HistogramTest, MeanAndCount) {
-  Histogram h;
-  h.Add(100);
-  h.Add(300);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.MeanNs(), 200.0);
-}
-
-TEST(HistogramTest, QuantilesAreOrdered) {
-  Histogram h;
-  for (uint64_t i = 1; i <= 1000; ++i) h.Add(i);
-  EXPECT_LE(h.QuantileNs(0.5), h.QuantileNs(0.99));
-  EXPECT_GE(h.QuantileNs(0.99), 512u);  // p99 of 1..1000 is ~990
-}
-
-TEST(HistogramTest, MergeAccumulates) {
-  Histogram a, b;
-  a.Add(10);
-  b.Add(20);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.MeanNs(), 15.0);
-}
-
 TEST(BreakdownCountersTest, AdditionAggregates) {
   BreakdownCounters a, b;
   a.exec_ns = 5;
@@ -214,16 +189,6 @@ TEST(BreakdownCountersTest, AdditionAggregates) {
   EXPECT_EQ(a.tail_contention_ns, 3u);
   EXPECT_EQ(a.committed_txns, 1u);
   EXPECT_EQ(a.aborted_txns, 2u);
-}
-
-TEST(ScopedTimerTest, AccumulatesElapsed) {
-  uint64_t sink = 0;
-  {
-    ScopedTimer t(sink);
-    volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x = x + i;
-  }
-  EXPECT_GT(sink, 0u);
 }
 
 }  // namespace
