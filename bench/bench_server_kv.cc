@@ -26,12 +26,6 @@
 // --stats-json=PATH additionally writes a machine-readable summary of every
 // run (throughput, durable-lag percentiles, per-phase checkpoint time) for
 // CI trend tracking.
-//
-// --batch turns on the batched wire path: clients coalesce ops into BATCH
-// frames and size their pipeline with the adaptive RTT window instead of the
-// fixed depth; durable runs add a monitor thread feeding the server's
-// durable_gate p99 back into the client windows as backpressure. The JSON
-// gains a top-level "batch" flag so CI can compare the two modes.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -91,21 +85,9 @@ obs::HistogramData HistDelta(const obs::HistogramData& after,
   return d;
 }
 
-// Pulls the durable_gate p99 out of the STATS breakdown JSON ("stages":
-// {"durable_gate":{"count":..,"p50_ns":..,"p99_ns":N,...}}). Returns 0 when
-// the stage has not recorded yet.
-uint64_t ParseDurableGateP99(const std::string& json) {
-  size_t at = json.find("\"durable_gate\":{");
-  if (at == std::string::npos) return 0;
-  at = json.find("\"p99_ns\":", at);
-  if (at == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + at + 9, nullptr, 10);
-}
-
 NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
                     uint64_t keys, double seconds, uint32_t read_pct,
-                    bool durable, uint32_t checkpoint_ms, uint32_t shards,
-                    bool batch) {
+                    bool durable, uint32_t checkpoint_ms, uint32_t shards) {
   faster::FasterKv::Options fo;
   fo.dir = FreshBenchDir("srv");
   fo.index_buckets = 1ull << 16;
@@ -140,10 +122,6 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
   }
 
   std::atomic<bool> stop{false};
-  // Server durable-lag backpressure, published by the monitor thread and fed
-  // by each client thread into its own adaptive window (the client object is
-  // single-threaded; only the owning thread may call NoteServerDurableLag).
-  std::atomic<uint64_t> durable_gate_p99{0};
   std::vector<uint64_t> ops(clients, 0);
   std::vector<uint64_t> peaks(clients, 0);
   std::vector<std::thread> threads;
@@ -153,15 +131,8 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
       client::CprClient::Options co;
       co.port = server.port();
       co.ack_mode = durable ? net::AckMode::kDurable : net::AckMode::kExecuted;
-      co.batch = batch;
-      co.adaptive_window = batch;  // the batched config is RTT-driven
-      co.batch_max_ops =
-          static_cast<uint32_t>(EnvU64("CPR_BENCH_BATCH_OPS", 128));
-      co.window_min = std::min<uint32_t>(16, pipeline);
-      co.window_max = std::max<uint32_t>(pipeline * 16, 1024);
       client::CprClient c(co);
       if (!c.Connect().ok()) return;
-      uint64_t last_lag = 0;
       uint64_t rng = 0x9e3779b97f4a7c15ull ^ (t + 1);
       auto next_rand = [&rng] {
         rng ^= rng << 13;
@@ -184,13 +155,7 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
         // arrive in bursts at each checkpoint; the pipeline stays full in
         // between so execution never starves.
         while (!stop.load(std::memory_order_relaxed)) {
-          const uint64_t lag = durable_gate_p99.load(std::memory_order_relaxed);
-          if (lag != last_lag) {
-            c.NoteServerDurableLag(lag);
-            last_lag = lag;
-          }
-          const size_t depth = batch ? c.target_window() : pipeline;
-          while (c.inflight() < depth) enqueue_one();
+          while (c.inflight() < pipeline) enqueue_one();
           if (!c.Flush().ok()) break;
           results.clear();
           size_t processed = 0;
@@ -200,8 +165,7 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
         }
       } else {
         while (!stop.load(std::memory_order_relaxed)) {
-          const size_t depth = batch ? c.target_window() : pipeline;
-          for (size_t i = 0; i < depth; ++i) enqueue_one();
+          for (size_t i = 0; i < pipeline; ++i) enqueue_one();
           if (!c.Flush().ok()) break;
           results.clear();
           if (!c.Drain(&results).ok()) break;
@@ -213,39 +177,12 @@ NetRunResult RunNet(uint32_t workers, uint32_t clients, uint32_t pipeline,
     });
   }
 
-  // Adaptive runs scrape the server's per-op breakdown every ~100ms and
-  // publish the durable_gate p99 — the backpressure signal that stops the
-  // client windows from growing into a durability stall.
-  std::thread monitor;
-  if (batch && durable) {
-    monitor = std::thread([&] {
-      client::CprClient::Options mo;
-      mo.port = server.port();
-      client::CprClient mc(mo);
-      if (!mc.Connect().ok()) return;
-      while (!stop.load(std::memory_order_relaxed)) {
-        std::string json;
-        if (!mc.ServerBreakdown(&json).ok()) break;
-        const uint64_t p99 = ParseDurableGateP99(json);
-        if (p99 > 0) {
-          durable_gate_p99.store(p99, std::memory_order_relaxed);
-        }
-        for (int i = 0; i < 100 && !stop.load(std::memory_order_relaxed);
-             ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      }
-      mc.Close();
-    });
-  }
-
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000));
   std::this_thread::sleep_until(deadline);
   stop.store(true);
   for (auto& th : threads) th.join();
-  if (monitor.joinable()) monitor.join();
 
   NetRunResult r;
   for (uint64_t o : ops) r.total_ops += o;
@@ -340,7 +277,6 @@ void PrintResult(const char* label, const NetRunResult& r, double seconds) {
 
 void WriteStatsJson(const char* path, uint32_t shards, uint32_t workers,
                     uint32_t clients, uint32_t pipeline, double seconds,
-                    bool batch,
                     const std::vector<std::pair<std::string, NetRunResult>>&
                         runs) {
   std::FILE* f = std::fopen(path, "w");
@@ -351,10 +287,8 @@ void WriteStatsJson(const char* path, uint32_t shards, uint32_t workers,
   std::fprintf(f,
                "{\n  \"bench\": \"server_kv\",\n  \"shards\": %u,\n"
                "  \"workers\": %u,\n  \"clients\": %u,\n  \"pipeline\": %u,\n"
-               "  \"batch\": %s,\n"
                "  \"seconds\": %.3f,\n  \"runs\": [",
-               shards, workers, clients, pipeline, batch ? "true" : "false",
-               seconds);
+               shards, workers, clients, pipeline, seconds);
   for (size_t i = 0; i < runs.size(); ++i) {
     const NetRunResult& r = runs[i].second;
     const auto& c = r.counters;
@@ -595,7 +529,7 @@ void RunCrashRestart(uint32_t shards, const char* stats_json) {
   server.Stop();
 }
 
-void Run(uint32_t shards, const char* stats_json, bool batch) {
+void Run(uint32_t shards, const char* stats_json) {
   const double scale = EnvF64("CPR_BENCH_SCALE", 1.0);
   const double seconds = EnvF64("CPR_BENCH_SECONDS", 2.0) * scale;
   const uint64_t keys = EnvU64("CPR_BENCH_KEYS", 100'000);
@@ -612,15 +546,13 @@ void Run(uint32_t shards, const char* stats_json, bool batch) {
   PrintHeader("Server",
               "KV over loopback TCP, " + backend_desc + ", " +
                   std::to_string(workers) + " workers, " +
-                  std::to_string(clients) + " pipelining clients (" +
-                  (batch ? "BATCH frames, adaptive window, base depth "
-                         : "depth ") +
+                  std::to_string(clients) + " pipelining clients (depth " +
                   std::to_string(pipeline) + ")");
   std::vector<std::pair<std::string, NetRunResult>> labeled;
   {
     const NetRunResult r = RunNet(workers, clients, pipeline, keys, seconds,
                                   /*read_pct=*/50, /*durable=*/false,
-                                  /*checkpoint_ms=*/0, shards, batch);
+                                  /*checkpoint_ms=*/0, shards);
     PrintResult("50:50 executed-ack", r, seconds);
     if (r.ops_per_sec < 100'000) {
       std::printf("    WARNING: below the 100 kops/s acceptance bar\n");
@@ -630,7 +562,7 @@ void Run(uint32_t shards, const char* stats_json, bool batch) {
   {
     const NetRunResult r = RunNet(workers, clients, pipeline, keys, seconds,
                                   /*read_pct=*/0, /*durable=*/false,
-                                  /*checkpoint_ms=*/0, shards, batch);
+                                  /*checkpoint_ms=*/0, shards);
     PrintResult("0:100 executed-ack", r, seconds);
     labeled.emplace_back("0:100 executed-ack", r);
   }
@@ -641,13 +573,13 @@ void Run(uint32_t shards, const char* stats_json, bool batch) {
     // operation.
     const NetRunResult r = RunNet(workers, clients, pipeline, keys, seconds,
                                   /*read_pct=*/0, /*durable=*/true,
-                                  /*checkpoint_ms=*/100, shards, batch);
+                                  /*checkpoint_ms=*/100, shards);
     PrintResult("0:100 durable-ack", r, seconds);
     labeled.emplace_back("0:100 durable-ack", r);
   }
   if (stats_json != nullptr) {
     WriteStatsJson(stats_json, shards, workers, clients, pipeline, seconds,
-                   batch, labeled);
+                   labeled);
   }
 }
 
@@ -659,7 +591,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(cpr::bench::EnvU64("CPR_BENCH_SHARDS", 1));
   const char* stats_json = nullptr;
   bool crash_restart = false;
-  bool batch = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       const long v = std::atol(argv[i] + 9);
@@ -668,14 +599,12 @@ int main(int argc, char** argv) {
       stats_json = argv[i] + 13;
     } else if (std::strcmp(argv[i], "--crash-restart") == 0) {
       crash_restart = true;
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch = true;
     }
   }
   if (crash_restart) {
     cpr::bench::RunCrashRestart(shards, stats_json);
   } else {
-    cpr::bench::Run(shards, stats_json, batch);
+    cpr::bench::Run(shards, stats_json);
   }
   return 0;
 }

@@ -27,10 +27,8 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--host H] [--port N] [--guid G] [--durable] [--batch]\n"
+      "usage: %s [--host H] [--port N] [--guid G] [--durable]\n"
       "          [--record-history=F] [cmd...]\n"
-      "--batch coalesces pipelined data ops into BATCH wire frames with an\n"
-      "adaptive client window (same per-op acks and replay semantics).\n"
       "--record-history=F journals every observed event (HELLO results,\n"
       "acks, commit-point notifications) to the checked blob F on exit, for\n"
       "the offline certifier (certify_check).\n"
@@ -341,11 +339,6 @@ int main(int argc, char** argv) {
       opts.guid = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--durable") {
       opts.ack_mode = cpr::net::AckMode::kDurable;
-    } else if (arg == "--batch") {
-      // Coalesce pipelined data ops into BATCH frames with an adaptive
-      // window; same per-op semantics, fewer frames on the wire.
-      opts.batch = true;
-      opts.adaptive_window = true;
     } else if (arg.rfind("--record-history=", 0) == 0) {
       history_path = arg.substr(std::strlen("--record-history="));
       opts.recorder = &recorder;

@@ -13,11 +13,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
-
-#include "util/clock.h"
 
 namespace cpr::client {
 
@@ -27,19 +24,6 @@ CprClient::CprClient(Options options) : options_(std::move(options)) {
   jitter_state_ ^= static_cast<uint32_t>(reinterpret_cast<uintptr_t>(this));
   jitter_state_ ^= static_cast<uint32_t>(options_.guid * 0x9e3779b97f4a7c15ull);
   if (jitter_state_ == 0) jitter_state_ = 0x9e3779b9u;
-  // CPR_CLIENT_BATCH forces batching on without code changes, so existing
-  // campaigns (fault matrix, TPC-C certify runs) prove the batched wire
-  // path preserves every exactly-once/replay contract.
-  const char* env = std::getenv("CPR_CLIENT_BATCH");
-  if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
-    options_.batch = true;
-  }
-  options_.batch_max_ops =
-      std::clamp<uint32_t>(options_.batch_max_ops, 1, net::kMaxBatchOps);
-  if (options_.window_min == 0) options_.window_min = 1;
-  if (options_.window_max < options_.window_min) {
-    options_.window_max = options_.window_min;
-  }
 }
 
 CprClient::~CprClient() { Close(); }
@@ -54,8 +38,6 @@ void CprClient::Close() {
   recv_off_ = 0;
   batch_stage_.clear();
   batch_stage_ops_ = 0;
-  rtt_mark_ns_ = 0;  // the marked request will never be answered
-  rtt_mark_seq_ = 0;
   FailInflight();
 }
 
@@ -241,8 +223,8 @@ Status CprClient::ReplayAfter(uint64_t recovered) {
   if (!st.ok()) return st;
   // A concurrent checkpoint can make our CHECKPOINT request report BUSY
   // without covering the replayed ops; on an ack timeout, nudge again.
-  // Draining is driven off the in-flight set, not a response count: with
-  // batching on, one response frame settles many in-flight ops.
+  // Draining is driven off the in-flight set, not a response count: one
+  // BATCH response frame settles many in-flight ops.
   int nudges = durable ? 3 : 0;
   while (!inflight_.empty()) {
     st = Drain(nullptr, 1);
@@ -290,30 +272,21 @@ void CprClient::NeutralizeReplay(uint64_t serial) {
 }
 
 void CprClient::EnqueueRequest(const net::Request& req) {
-  // RTT sampling: arm the mark on the FIRST op of a new burst (one sample in
-  // flight at a time; the clock starts at Flush). The first op's round trip
-  // measures wire latency plus the server's queue — independent of how deep
-  // this burst is — so the adaptive window doesn't punish its own depth.
-  if (options_.adaptive_window && rtt_mark_seq_ == 0) {
-    rtt_mark_seq_ = req.seq;
-  }
-  ++flush_pending_ops_;
   const bool batchable =
-      options_.batch &&
-      (req.op == net::Op::kRead || req.op == net::Op::kUpsert ||
-       req.op == net::Op::kRmw || req.op == net::Op::kDelete);
+      req.op == net::Op::kRead || req.op == net::Op::kUpsert ||
+      req.op == net::Op::kRmw || req.op == net::Op::kDelete;
   if (batchable) {
     // Stage the pre-encoded frame: a standalone frame (u32 len + payload)
     // is byte-identical to a BATCH sub-message, so Flush can seal the stage
     // into one BATCH frame — or emit a lone staged op verbatim. Only the
-    // transport grouping changes; seq/serial/replay bookkeeping below is
-    // identical to the unbatched path.
+    // transport grouping is decided here; the seq/serial/replay bookkeeping
+    // below is the same for every op.
     if (batch_stage_ops_ == 0) batch_stage_seq_ = req.seq;
     net::EncodeRequest(req, &batch_stage_);
     ++batch_stage_ops_;
     // Seal early at the op cap or when another sub-op might not fit under
     // the outer frame's length ceiling.
-    if (batch_stage_ops_ >= options_.batch_max_ops ||
+    if (batch_stage_ops_ >= kBatchMaxOps ||
         batch_stage_.size() + value_size_ + 64 >= net::kMaxFrameBytes) {
       FlushBatchStage();
     }
@@ -509,18 +482,6 @@ Status CprClient::Flush() {
   if (fd_ < 0) return Status::IoError("not connected");
   FlushBatchStage();
   if (sendbuf_.empty()) return Status::Ok();
-  // Start the armed RTT sample's clock just before the send, so the round
-  // trip includes the send itself. The marked response surfaces only after
-  // the first frame of this burst is fully executed; remember that frame's
-  // op count so ObserveRtt can normalize the sample per op.
-  if (options_.adaptive_window && rtt_mark_seq_ != 0 && rtt_mark_ns_ == 0) {
-    rtt_mark_ns_ = NowNanos();
-    rtt_mark_ops_ =
-        options_.batch
-            ? std::max(1u, std::min(flush_pending_ops_, options_.batch_max_ops))
-            : 1;
-  }
-  flush_pending_ops_ = 0;
   Status s = SendAll(sendbuf_.data(), sendbuf_.size());
   sendbuf_.clear();
   return s;
@@ -599,7 +560,7 @@ Status CprClient::ProcessResponse(net::Response resp, std::vector<Result>* out,
   if (resp.op == net::Op::kBatch) {
     // One frame, many logical responses: unpack through the single-response
     // core so seq matching, recording, durability notes and replay
-    // bookkeeping are identical to the unbatched path.
+    // bookkeeping are per op, exactly as for standalone frames.
     if (resp.status != net::WireStatus::kOk || resp.batch.empty()) {
       // An empty/failed batch consumed no in-flight op; treating it as
       // progress-free corruption also keeps Drain from spinning forever.
@@ -625,7 +586,6 @@ Status CprClient::ProcessOne(net::Response resp, std::vector<Result>* out) {
   }
   const InFlight inf = inflight_.front();
   inflight_.pop_front();
-  if (options_.adaptive_window) ObserveRtt(resp.seq);
   if (resp.seq != inf.seq || resp.op != inf.op) {
     return Status::Corruption("response out of order (pipeline desync)");
   }
@@ -686,27 +646,7 @@ Status CprClient::ProcessOne(net::Response resp, std::vector<Result>* out) {
       options_.recorder->OnDurable(resp.commit_serial);
     }
   }
-  if (out != nullptr) {
-    Result r;
-    r.op = resp.op;
-    r.status = resp.status;
-    r.seq = resp.seq;
-    r.serial = resp.serial;
-    r.token = resp.token;
-    r.commit_serial = resp.commit_serial;
-    r.value = std::move(resp.value);
-    r.stats = std::move(resp.stats);
-    r.txn_reads = std::move(resp.txn_reads);
-    r.value_size = resp.value_size;
-    r.dump_rows_total = resp.dump_rows_total;
-    r.dump_next_row = resp.dump_next_row;
-    r.dump_rows = std::move(resp.dump_rows);
-    r.provider_kind = resp.provider_kind;
-    r.provider_pending = resp.provider_pending;
-    r.provider_switches = resp.provider_switches;
-    r.provider_last_boundary = resp.provider_last_boundary;
-    out->push_back(std::move(r));
-  }
+  if (out != nullptr) out->push_back(std::move(resp));
   return Status::Ok();
 }
 
@@ -853,61 +793,6 @@ Status CprClient::TryDrain(std::vector<Result>* out, size_t* processed) {
   return status;
 }
 
-// -- Adaptive window ---------------------------------------------------------
-
-size_t CprClient::target_window() const {
-  if (!options_.adaptive_window || window_ < options_.window_min) {
-    return options_.window_min;
-  }
-  return static_cast<size_t>(
-      std::min<double>(window_, options_.window_max));
-}
-
-void CprClient::ObserveRtt(uint32_t seq) {
-  if (rtt_mark_ns_ == 0 || seq != rtt_mark_seq_) return;
-  // Normalize by the marked frame's op count (see rtt_mark_ops_): the
-  // controller must react to queueing ahead of the burst, not to the batch
-  // size the client itself picked.
-  const uint64_t rtt =
-      std::max<uint64_t>(1, (NowNanos() - rtt_mark_ns_) / rtt_mark_ops_);
-  rtt_mark_ns_ = 0;
-  rtt_mark_seq_ = 0;
-  if (rtt_min_ns_ == 0 || rtt < rtt_min_ns_) rtt_min_ns_ = rtt;
-  rtt_ewma_ns_ = rtt_ewma_ns_ == 0
-                     ? static_cast<double>(rtt)
-                     : 0.8 * rtt_ewma_ns_ + 0.2 * static_cast<double>(rtt);
-  AdjustWindow();
-}
-
-void CprClient::AdjustWindow() {
-  // AIMD on queueing delay: while the measured round trip stays near the
-  // observed floor the pipe is not the bottleneck — grow additively. Once
-  // RTT inflates well past the floor the extra depth is only queueing —
-  // back off multiplicatively. Between the thresholds, hold.
-  const double wmin = static_cast<double>(options_.window_min);
-  const double wmax = static_cast<double>(options_.window_max);
-  if (window_ < wmin) window_ = wmin;
-  if (rtt_ewma_ns_ <= 2.0 * static_cast<double>(rtt_min_ns_)) {
-    window_ += std::max(1.0, window_ / 8.0);
-  } else if (rtt_ewma_ns_ >= 4.0 * static_cast<double>(rtt_min_ns_)) {
-    window_ *= 0.75;
-  }
-  window_ = std::clamp(window_, wmin, wmax);
-}
-
-void CprClient::NoteServerDurableLag(uint64_t p99_ns) {
-  if (!options_.adaptive_window || rtt_ewma_ns_ <= 0) return;
-  // Durable-gate lag dwarfing the wire RTT means acks are stalling behind
-  // checkpoints, not the network: more outstanding ops would only deepen
-  // the stall (and the server's queues). Cut multiplicatively; RTT-driven
-  // additive growth re-probes once the gate drains.
-  if (static_cast<double>(p99_ns) > 8.0 * rtt_ewma_ns_) {
-    window_ = std::clamp(window_ * 0.5,
-                         static_cast<double>(options_.window_min),
-                         static_cast<double>(options_.window_max));
-  }
-}
-
 namespace {
 Status AsStatus(const CprClient::Result& r) {
   switch (r.status) {
@@ -1025,15 +910,14 @@ Status CprClient::Delete(uint64_t key, bool* found) {
   return AsStatus(r);
 }
 
+// Control ops never answer RECOVERING, so RunRetryable makes exactly one
+// round trip for them.
 Status CprClient::Checkpoint(uint64_t* token, uint64_t* commit_serial,
                              bool snapshot, bool include_index) {
-  EnqueueCheckpoint(snapshot, include_index);
-  Status s = Flush();
+  Result r;
+  Status s = RunRetryable(
+      [&] { EnqueueCheckpoint(snapshot, include_index); }, &r);
   if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
   if (r.status != net::WireStatus::kOk) return AsStatus(r);
   if (token != nullptr) *token = r.token;
   if (commit_serial != nullptr) *commit_serial = r.commit_serial;
@@ -1041,68 +925,37 @@ Status CprClient::Checkpoint(uint64_t* token, uint64_t* commit_serial,
 }
 
 Status CprClient::CommitPoint(uint64_t* commit_serial) {
-  EnqueueCommitPoint();
-  Status s = Flush();
+  Result r;
+  Status s = RunRetryable([&] { EnqueueCommitPoint(); }, &r);
   if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
   if (r.status != net::WireStatus::kOk) return AsStatus(r);
   *commit_serial = r.commit_serial;
   return Status::Ok();
 }
 
-Status CprClient::ServerStats(std::string* text) {
-  EnqueueStats(net::StatsKind::kMetricsText);
-  Status s = Flush();
+Status CprClient::FetchStats(net::StatsKind kind, std::string* out) {
+  Result r;
+  Status s = RunRetryable([&] { EnqueueStats(kind); }, &r);
   if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
   if (r.status != net::WireStatus::kOk) return AsStatus(r);
-  text->assign(r.stats.begin(), r.stats.end());
+  out->assign(r.stats.begin(), r.stats.end());
   return Status::Ok();
+}
+
+Status CprClient::ServerStats(std::string* text) {
+  return FetchStats(net::StatsKind::kMetricsText, text);
 }
 
 Status CprClient::ServerTrace(std::string* json) {
-  EnqueueStats(net::StatsKind::kTraceJson);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
-  if (r.status != net::WireStatus::kOk) return AsStatus(r);
-  json->assign(r.stats.begin(), r.stats.end());
-  return Status::Ok();
+  return FetchStats(net::StatsKind::kTraceJson, json);
 }
 
 Status CprClient::ServerHealth(std::string* json) {
-  EnqueueStats(net::StatsKind::kHealth);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
-  if (r.status != net::WireStatus::kOk) return AsStatus(r);
-  json->assign(r.stats.begin(), r.stats.end());
-  return Status::Ok();
+  return FetchStats(net::StatsKind::kHealth, json);
 }
 
 Status CprClient::ServerBreakdown(std::string* json) {
-  EnqueueStats(net::StatsKind::kReqBreakdown);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
-  if (r.status != net::WireStatus::kOk) return AsStatus(r);
-  json->assign(r.stats.begin(), r.stats.end());
-  return Status::Ok();
+  return FetchStats(net::StatsKind::kReqBreakdown, json);
 }
 
 namespace {
@@ -1117,13 +970,10 @@ CprClient::ProviderStatus ToProviderStatus(const CprClient::Result& r) {
 }  // namespace
 
 Status CprClient::ProviderInfo(ProviderStatus* out) {
-  EnqueueProvider(net::ProviderAction::kQuery);
-  Status s = Flush();
+  Result r;
+  Status s =
+      RunRetryable([&] { EnqueueProvider(net::ProviderAction::kQuery); }, &r);
   if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
   if (r.status != net::WireStatus::kOk) return AsStatus(r);
   if (out != nullptr) *out = ToProviderStatus(r);
   return Status::Ok();
@@ -1131,13 +981,10 @@ Status CprClient::ProviderInfo(ProviderStatus* out) {
 
 Status CprClient::SwitchProvider(durability::ProviderKind target,
                                  ProviderStatus* out) {
-  EnqueueProvider(net::ProviderAction::kSwitch, target);
-  Status s = Flush();
+  Result r;
+  Status s = RunRetryable(
+      [&] { EnqueueProvider(net::ProviderAction::kSwitch, target); }, &r);
   if (!s.ok()) return s;
-  std::vector<Result> results;
-  s = Drain(&results, 1);
-  if (!s.ok()) return s;
-  const Result& r = results.front();
   if (r.status != net::WireStatus::kOk) return AsStatus(r);
   if (out != nullptr) *out = ToProviderStatus(r);
   return Status::Ok();
@@ -1150,13 +997,10 @@ Status CprClient::DumpState(certify::StateDump* out) {
     uint64_t cursor = 0;
     bool first_page = true;
     while (true) {
-      EnqueueDump(table, cursor, /*max_rows=*/4096);
-      Status s = Flush();
+      Result r;
+      Status s = RunRetryable(
+          [&] { EnqueueDump(table, cursor, /*max_rows=*/4096); }, &r);
       if (!s.ok()) return s;
-      std::vector<Result> results;
-      s = Drain(&results, 1);
-      if (!s.ok()) return s;
-      Result& r = results.front();
       if (r.status == net::WireStatus::kNotFound) {
         // Table ids are dense from zero; the first NOT_FOUND ends the scan.
         if (!first_page) {

@@ -6,7 +6,12 @@
 // One CprClient owns one TCP connection bound to one durable CPR session.
 // Requests can be pipelined: Enqueue* queues frames locally, Flush() writes
 // them in one burst, Drain() collects the (in-order) responses. The sync
-// helpers (Read/Upsert/...) are one-op pipelines.
+// helpers (Read/Upsert/...) are one-op pipelines. Consecutive data ops
+// (READ/UPSERT/RMW/DELETE) travel coalesced in BATCH frames of up to
+// kBatchMaxOps — one frame, one decode pass and one response frame per
+// group; a lone data op goes out as its plain frame. The grouping is
+// transport-only: per-op seq/serial/replay semantics are those of
+// standalone frames.
 //
 // The client implements the paper's client-side durability contract:
 // update operations are kept in a replay buffer until they are known
@@ -31,6 +36,10 @@ namespace cpr::client {
 
 class CprClient {
  public:
+  // Sub-ops per BATCH frame (at most net::kMaxBatchOps).
+  static constexpr uint32_t kBatchMaxOps = 64;
+  static_assert(kBatchMaxOps <= net::kMaxBatchOps);
+
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;
@@ -44,23 +53,6 @@ class CprClient {
     // > 0: override the kernel send-buffer size (SO_SNDBUF). Mainly for
     // tests exercising partial-send/backpressure paths.
     int so_sndbuf = 0;
-    // Coalesce consecutively enqueued data ops (READ/UPSERT/RMW/DELETE)
-    // into BATCH frames at Flush time: one frame, one decode pass and one
-    // response frame per burst instead of per op. Transport-level only —
-    // per-op seq/serial/replay semantics are unchanged. Also forced on by
-    // the CPR_CLIENT_BATCH environment variable (any value but "0"), so
-    // existing campaigns can run batched without code changes.
-    bool batch = false;
-    // Sub-ops per BATCH frame (clamped to net::kMaxBatchOps).
-    uint32_t batch_max_ops = 64;
-    // Adapt the pipeline window (target_window()) from measured RTT instead
-    // of a fixed depth: additive increase while the connection's RTT stays
-    // near its observed floor, multiplicative decrease once RTT inflates
-    // (queueing) or the server reports durable-lag backpressure
-    // (NoteServerDurableLag). Drivers size their burst to target_window().
-    bool adaptive_window = false;
-    uint32_t window_min = 16;
-    uint32_t window_max = 1024;
     int connect_attempts = 10;
     // Per-attempt connect(2) timeout (non-blocking connect + poll). <= 0
     // falls back to a blocking connect.
@@ -101,26 +93,9 @@ class CprClient {
     uint64_t max_inflight = 0;      // peak pipeline depth
   };
 
-  struct Result {
-    net::Op op = net::Op::kRead;
-    net::WireStatus status = net::WireStatus::kOk;
-    uint32_t seq = 0;
-    uint64_t serial = 0;
-    uint64_t token = 0;          // CHECKPOINT
-    uint64_t commit_serial = 0;  // CHECKPOINT / COMMIT_POINT
-    std::vector<char> value;     // READ
-    std::vector<char> stats;     // STATS
-    std::vector<std::vector<char>> txn_reads;  // TXN, one per read op
-    uint32_t value_size = 0;           // DUMP: table row width
-    uint64_t dump_rows_total = 0;      // DUMP: table row count
-    uint64_t dump_next_row = 0;        // DUMP: resume cursor (0 = done)
-    std::vector<net::DumpRow> dump_rows;  // DUMP
-    durability::ProviderKind provider_kind =
-        durability::ProviderKind::kCpr;   // PROVIDER: current provider
-    bool provider_pending = false;        // PROVIDER: switch queued
-    uint64_t provider_switches = 0;       // PROVIDER: completed switches
-    uint64_t provider_last_boundary = 0;  // PROVIDER: last boundary version
-  };
+  // A response is the result: op, status, seq, serial and the op's payload
+  // (READ value, TXN reads, STATS text, DUMP rows, PROVIDER report, ...).
+  using Result = net::Response;
 
   // Durability-provider report (PROVIDER op). `kind` is always the CURRENT
   // provider — a SWITCH is asynchronous, completed at the next checkpoint
@@ -157,18 +132,6 @@ class CprClient {
   size_t inflight() const { return inflight_.size(); }
   size_t replay_backlog() const { return replay_.size(); }
   const Stats& stats() const { return stats_; }
-
-  // -- Adaptive window -------------------------------------------------------
-
-  // Current pipeline depth target in [window_min, window_max]. With
-  // adaptive_window off this is simply window_min; drivers that want a fixed
-  // depth keep using their own constant.
-  size_t target_window() const;
-  // Backpressure hook: feed the server's durable-gate p99 (scraped from the
-  // STATS breakdown) here. A durable lag dwarfing the wire RTT means acks
-  // are stalling behind the durability gate — growing the window would only
-  // deepen the stall, so the window is cut multiplicatively.
-  void NoteServerDurableLag(uint64_t p99_ns);
 
   // -- Pipelined interface -------------------------------------------------
 
@@ -289,8 +252,8 @@ class CprClient {
   // Seals the staged batch (if any) into sendbuf_ as one BATCH frame (a
   // single staged op is emitted as its plain standalone frame).
   void FlushBatchStage();
-  void ObserveRtt(uint32_t seq);
-  void AdjustWindow();
+  // One STATS round trip; `out` receives the payload text.
+  Status FetchStats(net::StatsKind kind, std::string* out);
   void RecordOp(const InFlight& inf, const net::Response& resp);
   void RecordResolvedPrefix(uint64_t recovered);
   void NoteDurable(uint64_t serial);
@@ -336,24 +299,6 @@ class CprClient {
   std::vector<char> batch_stage_;
   uint32_t batch_stage_ops_ = 0;
   uint32_t batch_stage_seq_ = 0;  // outer frame's seq = first staged op's
-  // Adaptive window state: RTT EWMA + observed floor drive an AIMD window.
-  // One sample in flight at a time: armed on the first op of a burst
-  // (rtt_mark_seq_ != 0), clocked at Flush (rtt_mark_ns_ != 0), resolved
-  // when the marked seq's response is processed. Sampling the burst's FIRST
-  // op keeps the measurement independent of the burst depth — it sees wire
-  // latency plus server queueing, not the client's own window.
-  // The marked (first) response of a batched burst only arrives once the
-  // whole first BATCH frame is executed, so the raw sample scales with the
-  // frame's op count; dividing by rtt_mark_ops_ (the marked frame's size)
-  // makes the signal scale-free — it reacts to queueing, not to the batch
-  // size the client itself chose.
-  double window_ = 0;
-  double rtt_ewma_ns_ = 0;
-  uint64_t rtt_min_ns_ = 0;
-  uint32_t rtt_mark_seq_ = 0;
-  uint64_t rtt_mark_ns_ = 0;
-  uint32_t rtt_mark_ops_ = 1;
-  uint32_t flush_pending_ops_ = 0;  // ops enqueued since the last Flush
   std::deque<InFlight> inflight_;
   // Data ops not yet covered by a known-durable serial, in serial order.
   // Reads are kept too — not for their results, but so a replay re-issues

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <deque>
 #include <iterator>
+#include <span>
 #include <unordered_map>
 
 #include "shard/faster_backend.h"
@@ -34,6 +35,12 @@ constexpr uint32_t kHangup = 4;
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+// The data ops a frame carries: a BATCH's sub-ops, or the frame itself.
+std::span<const net::Request> FrameOps(const net::Request& req) {
+  if (req.op == net::Op::kBatch) return req.batch;
+  return {&req, 1};
 }
 
 // Level-triggered readiness over a set of fds: epoll on Linux, poll(2)
@@ -735,23 +742,38 @@ void KvServer::HandleRequest(Connection* c, const net::Request& req) {
     case net::Op::kProvider:
       HandleProvider(c, req);
       return;
-    case net::Op::kBatch:
-      HandleBatch(c, req);
-      return;
     default:
-      HandleDataOp(c, req);
+      HandleDataOps(c, req);
       return;
   }
 }
 
-void KvServer::HandleBatch(Connection* c, const net::Request& req) {
-  // The BATCH frame itself was counted by ParseFrames; count the remaining
-  // sub-ops so requests/responses stay symmetric per logical op. The op-mix
-  // counters are summed here too — one atomic add per batch, not per sub-op.
-  counters_.requests.fetch_add(req.batch.size() - 1,
-                               std::memory_order_relaxed);
+void KvServer::HandleDataOps(Connection* c, const net::Request& frame) {
+  const bool batch = frame.op == net::Op::kBatch;
+  const std::span<const net::Request> ops = FrameOps(frame);
+  // Instant restart: ops for already-restored shards serve at full speed.
+  // Before executing anything, the frame parks (bounded) on the first
+  // still-restoring shard it touches, and the restore queue is reordered to
+  // front that shard. A BATCH parks whole, so its response group stays
+  // complete and in order. In steady state this is one acquire load per
+  // frame.
+  if (!recovery_done_.load(std::memory_order_acquire) &&
+      c->session != nullptr) {
+    for (const net::Request& op : ops) {
+      const uint32_t shard = kv_->ShardOfKey(op.key);
+      if (kv_->ShardReady(shard)) continue;
+      kv_->PrioritizeShard(shard);
+      if (TryParkRequest(c, frame, shard)) return;
+      break;  // parking queue full: restoring shards answer RECOVERING
+    }
+  }
+  // The frame itself was counted by ParseFrames; count a BATCH's remaining
+  // sub-ops so requests/responses stay symmetric per logical op.
+  if (batch) {
+    counters_.requests.fetch_add(ops.size() - 1, std::memory_order_relaxed);
+  }
   const size_t qbase = c->queue.size();
-  for (size_t i = 0; i < req.batch.size(); ++i) {
+  for (size_t i = 0; i < ops.size(); ++i) {
     if (i > 0) {
       // Each sub-op's trace span starts where the previous sub-op's handling
       // ended, mirroring ParseFrames' per-frame decode-clock restart — but
@@ -761,27 +783,28 @@ void KvServer::HandleBatch(Connection* c, const net::Request& req) {
       c->req_recv_ns = prev_ready != 0 ? prev_ready : NowNanos();
       c->req_park_ns = 0;
     }
-    HandleDataOp(c, req.batch[i], /*in_batch=*/true);
+    HandleDataOp(c, ops[i]);
   }
-  // Every in-batch HandleDataOp path queues exactly one entry (in-batch ops
-  // never park), so the group is contiguous and complete.
-  PendingResponse& first = c->queue[qbase];
-  first.batch_size = static_cast<uint32_t>(c->queue.size() - qbase);
-  first.batch_seq = req.seq;
-  // Op-mix counters, one atomic add per batch instead of per sub-op. Only
-  // sub-ops that reached the backend count (`traced` is set exactly where
-  // the unbatched path bumps these), so rejected subs stay uncounted in
-  // both modes.
+  // HandleDataOp queues exactly one entry per op, so a BATCH's group is
+  // contiguous and complete: mark its members for atomic release. Op-mix
+  // counters take one atomic add per frame; only ops that reached the
+  // backend (`traced`) count.
   size_t reads = 0;
   size_t writes = 0;
   for (size_t i = qbase; i < c->queue.size(); ++i) {
-    const PendingResponse& e = c->queue[i];
+    PendingResponse& e = c->queue[i];
+    e.in_batch = batch;
     if (!e.traced) continue;
     if (e.resp.op == net::Op::kRead) {
       ++reads;
     } else {
       ++writes;
     }
+  }
+  if (batch) {
+    PendingResponse& first = c->queue[qbase];
+    first.batch_size = static_cast<uint32_t>(ops.size());
+    first.batch_seq = frame.seq;
   }
   if (reads > 0) counters_.read_ops.fetch_add(reads, std::memory_order_relaxed);
   if (writes > 0) {
@@ -1002,10 +1025,8 @@ void KvServer::HandleHello(Connection* c, const net::Request& req) {
   c->queue.push_back(std::move(entry));
 }
 
-void KvServer::HandleDataOp(Connection* c, const net::Request& req,
-                            bool in_batch) {
+void KvServer::HandleDataOp(Connection* c, const net::Request& req) {
   PendingResponse entry;
-  entry.in_batch = in_batch;
   entry.resp.op = req.op;
   entry.resp.seq = req.seq;
   if (c->session == nullptr) {
@@ -1021,36 +1042,16 @@ void KvServer::HandleDataOp(Connection* c, const net::Request& req,
     c->queue.push_back(std::move(entry));
     return;
   }
-  // Instant restart: ops for already-restored shards serve at full speed;
-  // an op whose shard is still restoring parks (bounded) and the restore
-  // queue is reordered to front that shard. With the parking queue full —
-  // or the shard terminally failed — burn one serial and answer the
-  // retryable RECOVERING instead.
+  // A shard still restoring here means HandleDataOps could not park the
+  // frame (parking queue full, or recovery concluded with the shard
+  // terminally failed): burn one serial and answer the retryable RECOVERING.
   const uint32_t shard = kv_->ShardOfKey(req.key);
   if (!kv_->ShardReady(shard)) {
     kv_->PrioritizeShard(shard);
-    // In-batch ops never park: parking stops frame consumption mid-group
-    // and would leave the batch's response set incomplete.
-    if (!in_batch && !recovery_done_.load(std::memory_order_acquire) &&
-        TryParkRequest(c, req, shard)) {
-      return;
-    }
-    // Recovery may have finished between the two loads; recovery_done_
-    // publishes every shard's final state, so re-read before rejecting.
-    if (!kv_->ShardReady(shard)) {
-      RejectRecovering(c, req, in_batch);
-      return;
-    }
+    RejectRecovering(c, req);
+    return;
   }
   kv::Session& s = *c->session;
-  if (!in_batch) {
-    // In-batch sub-ops were counted in one add by HandleBatch.
-    if (req.op == net::Op::kRead) {
-      counters_.read_ops.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.write_ops.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   faster::OpStatus st = faster::OpStatus::kOk;
   std::vector<char> value(req.op == net::Op::kRead ? kv_->value_size() : 0);
   // Decode stage ends (and execute begins) here; the accumulated park wait
@@ -1283,11 +1284,9 @@ bool KvServer::TryParkRequest(Connection* c, const net::Request& req,
   return true;
 }
 
-void KvServer::RejectRecovering(Connection* c, const net::Request& req,
-                                bool in_batch) {
+void KvServer::RejectRecovering(Connection* c, const net::Request& req) {
   PendingResponse entry;
   entry.ready = true;
-  entry.in_batch = in_batch;
   entry.resp.op = req.op;
   entry.resp.seq = req.seq;
   entry.resp.status = net::WireStatus::kRecovering;
@@ -1303,29 +1302,17 @@ void KvServer::RejectRecovering(Connection* c, const net::Request& req,
 
 void KvServer::RetryParked(Worker& w, Connection* c) {
   if (!c->parked) return;
-  const bool hello = c->parked_req.op == net::Op::kHello;
-  bool ready = hello ? recovery_installed_.load(std::memory_order_acquire)
-                     : kv_->ShardReady(c->parked_shard);
-  if (!ready) {
-    // HELLO always unparks eventually (StartRecovery returns even on
-    // failure). A data op's shard that is unready after recovery concluded
-    // is terminally failed: stop waiting and answer RECOVERING. Re-read the
-    // shard once recovery_done_ is seen: it may have become ready between
-    // the two loads.
-    if (hello || !recovery_done_.load(std::memory_order_acquire)) return;
-    ready = kv_->ShardReady(c->parked_shard);
-  }
-  if (!ready) {
-    const net::Request req = std::move(c->parked_req);
-    c->parked = false;
-    c->parked_req = net::Request();
-    c->req_park_ns += NowNanos() - c->parked_since_ns;
-    parked_ops_.fetch_sub(1, std::memory_order_relaxed);
-    RejectRecovering(c, req);
-    c->recv_batch_ns = NowNanos();
-    ParseFrames(w, c);
-    return;
-  }
+  // HELLO always unparks eventually (StartRecovery returns even on failure).
+  // A data frame re-dispatches once its shard is ready, or once recovery
+  // concluded: recovery_done_ publishes every shard's final state, so a
+  // still-unready shard is terminally failed and the re-dispatch answers
+  // its ops RECOVERING instead of parking again.
+  const bool ready =
+      c->parked_req.op == net::Op::kHello
+          ? recovery_installed_.load(std::memory_order_acquire)
+          : kv_->ShardReady(c->parked_shard) ||
+                recovery_done_.load(std::memory_order_acquire);
+  if (!ready) return;
   const net::Request req = std::move(c->parked_req);
   c->parked = false;
   c->parked_req = net::Request();
@@ -1333,7 +1320,7 @@ void KvServer::RetryParked(Worker& w, Connection* c) {
   // (shard flipped back) keeps accumulating into the same request's wait.
   c->req_park_ns += NowNanos() - c->parked_since_ns;
   parked_ops_.fetch_sub(1, std::memory_order_relaxed);
-  // Re-dispatch; the op may legitimately park again if the shard flipped
+  // Re-dispatch; the frame may legitimately park again if a shard flipped
   // back (recovery walk-back), then drain the frames held back behind it.
   HandleRequest(c, req);
   if (!c->parked && !c->inbuf.empty()) {
@@ -1353,17 +1340,20 @@ void KvServer::FailPendingAtShutdown(Worker& w, Connection* c) {
     }
   }
   if (c->parked) {
-    // The parked op never consumed a serial: RECOVERING with serial 0 (for
-    // HELLO: BUSY) tells the client nothing happened — keep the replay
-    // entry and retry after reconnect.
-    PendingResponse entry;
-    entry.ready = true;
-    entry.resp.op = c->parked_req.op;
-    entry.resp.seq = c->parked_req.seq;
-    entry.resp.status = c->parked_req.op == net::Op::kHello
-                            ? net::WireStatus::kBusy
-                            : net::WireStatus::kRecovering;
-    c->queue.push_back(std::move(entry));
+    // The parked request never consumed a serial: RECOVERING with serial 0
+    // (for HELLO: BUSY) tells the client nothing happened — keep the replay
+    // entries and retry after reconnect. A parked BATCH answers per sub-op,
+    // encoded standalone like every member below.
+    for (const net::Request& op : FrameOps(c->parked_req)) {
+      PendingResponse entry;
+      entry.ready = true;
+      entry.resp.op = op.op;
+      entry.resp.seq = op.seq;
+      entry.resp.status = op.op == net::Op::kHello
+                              ? net::WireStatus::kBusy
+                              : net::WireStatus::kRecovering;
+      c->queue.push_back(std::move(entry));
+    }
     c->parked = false;
     c->parked_req = net::Request();
     parked_ops_.fetch_sub(1, std::memory_order_relaxed);
@@ -1733,7 +1723,7 @@ void KvServer::MaybeAdaptiveSwitch() {
   durability::WorkloadSample sample;
   sample.reads = s.read_ops;
   sample.writes = s.write_ops;
-  sample.durable_lag_p99_ns = s.durable_lag.Quantile(0.99);
+  sample.durable_lag_p99_ns = s.DurableLagQuantile(0.99);
   sample.commit_stalls = s.checkpoint_stalls;
   durability::ProviderKind target;
   if (adaptive_policy_.Observe(kv_->Provider(), sample, &target)) {

@@ -74,9 +74,10 @@ struct KvServerOptions {
   // RECOVERING once it is full. When false the caller is expected to run
   // Recover() before Start(), as before.
   bool recover_on_start = false;
-  // Global cap across all connections on ops parked waiting for their shard
-  // (at most one parked op per connection; later frames wait unread in the
-  // connection buffer so per-session serial order is preserved).
+  // Global cap across all connections on requests parked waiting for their
+  // shard (at most one per connection — a data op or a whole BATCH; later
+  // frames wait unread in the connection buffer so per-session serial order
+  // is preserved).
   uint32_t max_parked_ops = 256;
   // Adaptive durability: worker 0 samples the observed workload (read/write
   // mix, durable-lag p99, commit stalls) every interval and queues a live
@@ -140,11 +141,12 @@ class KvServer {
   void ParseFrames(Worker& w, Connection* c);
   void HandleRequest(Connection* c, const net::Request& req);
   void HandleHello(Connection* c, const net::Request& req);
-  // `in_batch` ops never park: a still-restoring shard answers RECOVERING
-  // inline so the batch's response group stays complete and ordered.
-  void HandleDataOp(Connection* c, const net::Request& req,
-                    bool in_batch = false);
-  void HandleBatch(Connection* c, const net::Request& req);
+  // A standalone data op or a BATCH of them: parks the whole frame while
+  // one of its shards is restoring, else executes every op in order.
+  void HandleDataOps(Connection* c, const net::Request& frame);
+  // Executes one data op (never parks: a still-restoring shard answers
+  // RECOVERING) and queues exactly one response entry.
+  void HandleDataOp(Connection* c, const net::Request& req);
   void HandleTxn(Connection* c, const net::Request& req);
   void HandleTxnChunk(Connection* c, const net::Request& req);
   void HandleDump(Connection* c, const net::Request& req);
@@ -169,8 +171,7 @@ class KvServer {
   // Instant-restart serving surface.
   void RecoveryMain();                       // background recovery driver
   bool TryParkRequest(Connection* c, const net::Request& req, uint32_t shard);
-  void RejectRecovering(Connection* c, const net::Request& req,
-                        bool in_batch = false);
+  void RejectRecovering(Connection* c, const net::Request& req);
   void RetryParked(Worker& w, Connection* c);
   // Shutdown drain for one connection's queued responses: completes what it
   // can without blocking, then fails the rest with an honest status (parked

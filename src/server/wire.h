@@ -49,8 +49,10 @@
 // range and answers with one BATCH response once every sub-op can release;
 // with DURABLE acks that means the batch releases when a checkpoint covers
 // its highest update serial (the outer `serial` field reports that maximum
-// covered serial; sub-responses carry their own). Sub-ops whose shard is
-// still restoring are answered RECOVERING inline (a batch never parks).
+// covered serial; sub-responses carry their own). During instant restart a
+// batch touching a still-restoring shard parks whole before any sub-op
+// executes; only when parking is refused (queue full, shard failed) are the
+// restoring sub-ops answered RECOVERING inline.
 //
 // A TXN request carries a multi-key read/write set executed atomically by a
 // transactional backend. Each op is:

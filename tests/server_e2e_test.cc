@@ -608,6 +608,81 @@ TEST(ServerE2E, InstantRestartServesDuringRecoveryExactlyOnce) {
   server.Stop();
 }
 
+// Pipelined ops travel as BATCH frames; a batch touching a still-restoring
+// shard must park whole, like a standalone op, rather than answer its
+// restoring sub-ops RECOVERING: a pipelining client sees no difference from
+// steady state.
+TEST(ServerE2E, InstantRestartParksWholeBatch) {
+  const std::string dir = FreshDir();
+  constexpr uint32_t kShards = 8;
+  constexpr uint64_t kKeys = 32;
+  constexpr int kSeedRounds = 2;  // increments per key before the crash
+
+  auto kv1 = std::make_unique<kv::ShardedKv>(ShardedOptions(dir, kShards));
+  auto server1 = std::make_unique<KvServer>(kv1.get(), ServerOptions());
+  ASSERT_TRUE(server1->Start().ok());
+  const uint16_t port = server1->port();
+
+  CprClient c(ClientOptions(port));
+  ASSERT_TRUE(c.Connect().ok());
+  for (int r = 0; r < kSeedRounds; ++r) {
+    for (uint64_t k = 0; k < kKeys; ++k) c.EnqueueRmw(k, 1);
+  }
+  ASSERT_TRUE(c.Flush().ok());
+  std::vector<CprClient::Result> results;
+  ASSERT_TRUE(c.Drain(&results).ok());
+  for (const auto& r : results) ASSERT_EQ(r.status, net::WireStatus::kOk);
+  uint64_t commit = 0;
+  ASSERT_TRUE(c.Checkpoint(nullptr, &commit, /*snapshot=*/false,
+                           /*include_index=*/true).ok());
+  ASSERT_EQ(commit, kSeedRounds * kKeys);
+
+  server1->Stop();
+  server1.reset();
+  kv1.reset();
+
+  // Slow every storage read down so the batch reliably arrives while most
+  // shards are still restoring.
+  InjectorScope guard;
+  FaultRule slow_reads;
+  slow_reads.any_op = false;
+  slow_reads.op = FaultOp::kRead;
+  slow_reads.sticky = true;
+  slow_reads.action = FaultAction::kNone;
+  slow_reads.delay_ms = 5;
+  guard.inj.AddRule(slow_reads);
+  kv::ShardedKv::Options sopts = ShardedOptions(dir, kShards);
+  sopts.recovery_workers = 1;
+  kv::ShardedKv kv(sopts);
+  KvServerOptions ropts = ServerOptions(port);
+  ropts.recover_on_start = true;
+  KvServer server(&kv, ropts);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(c.Reconnect().ok());
+
+  // One increment per key, all shards, one flush: the keys span every
+  // shard, so the BATCH frame races the restore of most of them.
+  for (uint64_t k = 0; k < kKeys; ++k) c.EnqueueRmw(k, 1);
+  ASSERT_TRUE(c.Flush().ok());
+  results.clear();
+  ASSERT_TRUE(c.Drain(&results).ok());
+  ASSERT_EQ(results.size(), static_cast<size_t>(kKeys));
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(results[k].status, net::WireStatus::kOk) << "key " << k;
+  }
+  EXPECT_EQ(c.stats().recovering_rejections, 0u);
+
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    bool found = false;
+    const int64_t v = ReadValue(c, k, &found);
+    ASSERT_TRUE(found) << "key " << k;
+    EXPECT_EQ(v, kSeedRounds + 1) << "key " << k;  // exactly once
+  }
+
+  c.Close();
+  server.Stop();
+}
+
 // Shutdown drain: queued responses a dying server can still answer must go
 // out with an honest status instead of being silently dropped — here a
 // durable-gated update whose covering checkpoint never happened is released
@@ -1075,21 +1150,16 @@ TEST(ServerE2E, StatsHealthAndBreakdownRoundTrip) {
 
 // -- BATCH frames end to end --------------------------------------------------
 
-// Batching is transport-level only: the same pipelined workload, coalesced
-// into BATCH frames, must produce byte-for-byte the same results, order, and
-// serials as the unbatched run — and far fewer wire frames.
+// Pipelined data ops travel coalesced into BATCH frames; batching is
+// transport-level only, so results, order and serials are per op — and a
+// miss inside a batch still answers its own NOT_FOUND.
 TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
   FasterKv kv(SmallOptions(FreshDir()));
   KvServer server(&kv, ServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
-  CprClient::Options copts = ClientOptions(server.port());
-  copts.batch = true;
-  copts.batch_max_ops = 32;
-  copts.adaptive_window = true;
-  CprClient c(copts);
+  CprClient c(ClientOptions(server.port()));
   ASSERT_TRUE(c.Connect().ok());
-  EXPECT_GE(c.target_window(), 16u);
 
   constexpr int kOps = 4000;  // also an ack-burst drain regression: one
                               // Drain consumes thousands of buffered frames
@@ -1120,14 +1190,13 @@ TEST(ServerE2E, BatchedPipelineKeepsOrderAndSerials) {
 
   c.Close();
   server.Stop();
-  // The server counted every sub-op as a request, answered all of them, and
-  // did it over far fewer response frames than requests (batching worked).
+  // The server counted every sub-op as a request and answered all of them.
   const auto counters = server.counters();
   EXPECT_GE(counters.requests, static_cast<uint64_t>(kOps + 17));
   EXPECT_EQ(counters.requests, counters.responses);
 }
 
-// The headline crash story with batching forced on: durably-acked prefix
+// The headline crash story over BATCH frames: the durably-acked prefix
 // survives, the unacked suffix replays (as BATCH frames) exactly once.
 TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   const std::string dir = FreshDir();
@@ -1144,8 +1213,6 @@ TEST(ServerE2E, BatchedCrashRecoveryDurableClientExactlyOnce) {
   copts.ack_mode = net::AckMode::kDurable;
   copts.recv_timeout_ms = 2'000;
   copts.port = port;
-  copts.batch = true;
-  copts.batch_max_ops = 16;
   CprClient c(copts);
   ASSERT_TRUE(c.Connect().ok());
   const uint64_t guid = c.guid();
@@ -1339,8 +1406,13 @@ TEST(ServerE2E, SendAllSurvivesFullSendBufferStall) {
       if (n <= 0) break;
       drained += static_cast<size_t>(n);
     }
-    // Every byte of the burst arrived: 8000 RMW frames, 25 bytes each.
-    EXPECT_EQ(drained, static_cast<size_t>(kOps) * 25);
+    // Every byte of the burst arrived: 8000 RMW sub-frames, 25 bytes each,
+    // coalesced into full BATCH frames with a 13-byte header each
+    // (u32 len | u8 op | u32 seq | u32 n).
+    static_assert(kOps % CprClient::kBatchMaxOps == 0);
+    EXPECT_EQ(drained, static_cast<size_t>(kOps) * 25 +
+                           static_cast<size_t>(kOps / CprClient::kBatchMaxOps) *
+                               13);
     ::close(cfd);
   });
 
